@@ -14,9 +14,10 @@ import sys
 
 from squarefibers.real_classes import audit_real_counts
 from squarefibers.square_fibers import (
+    audit_existence,
     audit_square_counts,
-    audit_symplectic_existence,
-    audit_unitary_existence,
+    has_square_root_symplectic,
+    has_square_root_unitary,
 )
 
 SQUARE_AUDITS = [(1, 3), (2, 3), (3, 3), (2, 5)]
@@ -44,9 +45,9 @@ def main() -> int:
     for n, q in SQUARE_AUDITS:
         reports.append(audit_square_counts(n, q, include_oracle=True))
     for n, q in SP_AUDITS:
-        reports.append(audit_symplectic_existence(n, q))
+        reports.append(audit_existence("sp", has_square_root_symplectic, n, q))
     for n, q in U_AUDITS:
-        reports.append(audit_unitary_existence(n, q))
+        reports.append(audit_existence("u", has_square_root_unitary, n, q))
     for n, q in REAL_AUDITS:
         reports.append(audit_real_counts(n, q))
 

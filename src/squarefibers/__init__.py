@@ -31,7 +31,6 @@ from .gl_classes import (
 )
 from .partitions import (
     Partition,
-    distinct_part_count,
     gamma_exponent,
     halve_multiplicities,
     partitions_of,

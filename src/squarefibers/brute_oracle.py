@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
-from .gl_classes import ClassData, make_class_data, representative_matrix
+from .gl_classes import ClassData, gl_order, make_class_data, representative_matrix
 from .limits import (
     HARD_GROUP_ORDER,
     MAX_ENUMERATION_SPACE,
@@ -125,10 +125,7 @@ def expected_group_order(spec: GroupSpec) -> int:
     q = spec.q
     n = spec.n
     if spec.kind == "gl":
-        out = 1
-        for i in range(n):
-            out *= q**n - q**i
-        return out
+        return gl_order(n, q)
     if spec.kind == "u":
         out = q ** (n * (n - 1) // 2)
         for i in range(1, n + 1):
@@ -169,12 +166,7 @@ class ElementTable:
         return len(self.elements)
 
     def encode(self, a: Matrix) -> int:
-        q = self.field.q
-        enc = 0
-        for row in reversed(a):
-            for x in reversed(row):
-                enc = enc * q + x
-        return enc
+        return _encode_matrix(self.field.q, a)
 
     def position(self, a: Matrix) -> int:
         return self.index[self.encode(a)]

@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
 from .brute_oracle import (
@@ -62,19 +61,17 @@ from .power_poly import (
 from .real_classes import (
     THEOREM_CONVENTIONS,
     audit_real_counts,
-    count_order_dividing,
-    count_unity_roots_gf,
     real_class_count_direct,
     real_class_count_ms,
     real_class_count_theorem,
     s2_cardinality,
+    unity_root_counts,
 )
 from .square_fibers import (
     AuditReport,
     ClosedFormUndefined,
     audit_square_counts,
-    audit_symplectic_existence,
-    audit_unitary_existence,
+    audit_existence,
     count_square_roots,
     has_square_root_gl,
     has_square_root_symplectic,
@@ -280,9 +277,9 @@ def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
     if args.group == "gl":
         report = audit_square_counts(args.n, args.q, include_oracle=args.oracle)
     elif args.group == "sp":
-        report = audit_symplectic_existence(args.n, args.q)
+        report = audit_existence("sp", has_square_root_symplectic, args.n, args.q)
     else:
-        report = audit_unitary_existence(args.n, args.q)
+        report = audit_existence("u", has_square_root_unitary, args.n, args.q)
     return _report_to_json(report), _report_warnings(report)
 
 
@@ -324,46 +321,38 @@ def _cmd_real_classes(args) -> tuple[dict, list[str]]:
         }, []
     if args.method == "theorem":
         direct = real_class_count_direct(n, q)
-        values = {}
-        warnings = []
-        for convention in THEOREM_CONVENTIONS:
-            val = real_class_count_theorem(n, q, convention)
-            values[convention] = _fraction_text(val)
-            if val != direct:
-                warnings.append(
-                    f"{convention} evaluator gives {_fraction_text(val)}, "
-                    f"true count is {direct}"
-                )
+        values = {c: real_class_count_theorem(n, q, c) for c in THEOREM_CONVENTIONS}
+        warnings = [
+            f"{c} evaluator gives {val}, true count is {direct}"
+            for c, val in values.items()
+            if val != direct
+        ]
         return {
             "n": n,
             "q": str(q),
             "method": "theorem",
-            "evaluations": values,
+            "evaluations": {c: str(val) for c, val in values.items()},
             "real_classes": str(direct),
         }, warnings
     if args.method == "gf-audit":
-        payload = {"n": n, "q": str(q), "method": "gf-audit", "checks": []}
-        warnings = []
-        for M in (2, 4):
-            by_classes = count_order_dividing(n, q, M)
-            by_series = count_unity_roots_gf(n, q, M)
-            payload["checks"].append(
-                {
-                    "M": M,
-                    "class_enumeration": str(by_classes),
-                    "generating_function": str(by_series),
-                    "agree": by_classes == by_series,
-                }
-            )
-            if by_classes != by_series:
-                warnings.append(f"M={M}: series {by_series} != classes {by_classes}")
-        return payload, warnings
+        counts = unity_root_counts(n, q)
+        checks = [
+            {
+                "M": M,
+                "class_enumeration": str(by_classes),
+                "generating_function": str(by_series),
+                "agree": by_classes == by_series,
+            }
+            for M, by_classes, by_series in counts
+        ]
+        warnings = [
+            f"M={M}: series {by_series} != classes {by_classes}"
+            for M, by_classes, by_series in counts
+            if by_classes != by_series
+        ]
+        return {"n": n, "q": str(q), "method": "gf-audit", "checks": checks}, warnings
     report = audit_real_counts(n, q)
     return _report_to_json(report), _report_warnings(report)
-
-
-def _fraction_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:
@@ -433,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def common(sub, fmt=False):
-        sub.add_argument("--threads", type=int, default=1, metavar="K",
-                         help="worker bound; results never depend on it")
         sub.add_argument("--timestamp", action="store_true",
                          help="emit a wall-clock timestamp (off for reproducibility)")
         if fmt:
@@ -506,9 +493,6 @@ _CSV_RENDERERS = {
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         payload, warnings = _HANDLERS[args.verb](args)
     except InputError as exc:

@@ -15,10 +15,6 @@ from .limits import InputError
 from .partitions import Partition
 
 
-def field_to_text(field: Field) -> str:
-    return str(field.q)
-
-
 def field_from_text(text: str) -> Field:
     text = text.strip()
     try:

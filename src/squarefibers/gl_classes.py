@@ -108,11 +108,13 @@ def class_count(n: int, q: int) -> int:
         base = [0] * (n + 1)
         for m in range(0, n // d + 1):
             base[m * d] = partition_count(m)
-        series = _int_series_mul(series, _int_series_pow(base, count, n), n)
+        series = series_mul(series, series_pow(base, count, n), n)
     return series[n]
 
 
-def _int_series_mul(a: list[int], b: list[int], n: int) -> list[int]:
+def series_mul(a: list, b: list, n: int) -> list:
+    """Product of two power series truncated at degree n.  The
+    coefficients may be int or Fraction."""
     out = [0] * (n + 1)
     for i, x in enumerate(a):
         if x:
@@ -122,12 +124,13 @@ def _int_series_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _int_series_pow(a: list[int], e: int, n: int) -> list[int]:
+def series_pow(a: list, e: int, n: int) -> list:
+    """a^e truncated at degree n, by repeated squaring."""
     out = [1] + [0] * n
     while e:
         if e & 1:
-            out = _int_series_mul(out, a, n)
-        a = _int_series_mul(a, a, n)
+            out = series_mul(out, a, n)
+        a = series_mul(a, a, n)
         e >>= 1
     return out
 
@@ -140,36 +143,40 @@ def _class_polys(field: Field, d: int) -> tuple[Poly, ...]:
 
 
 def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
-    """All conjugacy classes of GL_n(q), streamed in a fixed order."""
+    """All conjugacy classes of GL_n(q), streamed in a fixed order.
+
+    The class polynomials form one list sorted by (degree, coeffs).  Each
+    level of the recursion gives a partition to one polynomial that lies
+    after the previous level's in that list, so the depth is at most n
+    however many irreducibles there are.  Scanning the list from its end
+    down fixes the order in which classes are yielded.
+    """
     if n < 1:
         raise InputError("dimension must be positive")
     field = field_from_order(q)
     if class_count(n, q) > MAX_CLASS_COUNT:
         raise ScaleLimitError(f"GL_{n}({q}) has more than {MAX_CLASS_COUNT} classes")
+    polys: list[Poly] = []
+    ends = [0]  # ends[r]: how many class polynomials have degree <= r
+    for d in range(1, n + 1):
+        polys.extend(_class_polys(field, d))
+        ends.append(len(polys))
     acc: list[tuple[Poly, Partition]] = []
 
-    def rec(remaining: int, d: int, i: int) -> Iterator[ClassData]:
+    def rec(remaining: int, start: int) -> Iterator[ClassData]:
         if remaining == 0:
             yield ClassData(field, tuple(acc))
             return
-        if d > remaining:
-            return
-        polys = _class_polys(field, d)
-        while i >= len(polys):
-            d += 1
-            i = 0
-            if d > remaining:
-                return
-            polys = _class_polys(field, d)
-        f = polys[i]
-        yield from rec(remaining, d, i + 1)
-        for w in range(1, remaining // d + 1):
-            for lam in partitions_of(w):
-                acc.append((f, lam))
-                yield from rec(remaining - d * w, d, i + 1)
-                acc.pop()
+        for i in range(ends[remaining] - 1, start - 1, -1):
+            f = polys[i]
+            d = f.degree
+            for w in range(1, remaining // d + 1):
+                for lam in partitions_of(w):
+                    acc.append((f, lam))
+                    yield from rec(remaining - d * w, i + 1)
+                    acc.pop()
 
-    yield from rec(n, 1, 0)
+    yield from rec(n, 0)
 
 
 def centralizer_order(data: ClassData) -> int:

@@ -37,21 +37,6 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(field: Field, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if field.k == 1:
-        p = field.p
-        return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
-    add, mul = field.add, field.mul
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

@@ -36,12 +36,6 @@ class Partition:
     def is_empty(self) -> bool:
         return not self.pairs
 
-    def mult(self, part: int) -> int:
-        for a, m in self.pairs:
-            if a == part:
-                return m
-        return 0
-
     def max_part(self) -> int:
         return self.pairs[-1][0] if self.pairs else 0
 
@@ -135,10 +129,6 @@ def gamma_exponent_conjugate_form(lam: Partition, d: int) -> int:
     conj_sq = sum(m * a * a for a, m in lam.conjugate().pairs)
     mult_sq = sum(m * m for _, m in lam.pairs)
     return d * (conj_sq - mult_sq)
-
-
-def distinct_part_count(lam: Partition) -> int:
-    return len(lam.pairs)
 
 
 def halve_multiplicities(lam: Partition) -> Partition:

@@ -139,10 +139,6 @@ def classify2(f: Poly):
     )
 
 
-def is_two_power(f: Poly) -> bool:
-    return isinstance(classify2(f), TwoPower)
-
-
 def is_self_reciprocal(f: Poly) -> bool:
     return reciprocal(f) == f
 

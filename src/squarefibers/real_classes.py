@@ -11,6 +11,9 @@ counts; it is not trusted.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from types import MappingProxyType
 
 import sympy
 
@@ -22,53 +25,62 @@ from .gl_classes import (
     gl_order,
     inverse_class,
     is_identity_class,
+    series_mul,
+    series_pow,
 )
 from .limits import InputError
 from .square_fibers import AuditRecord, AuditReport, count_square_roots
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
+# The M of the counts of g^M = 1 that the published statement consumes
+# (c_2 and c_4); the audit checks each against the q-series.
+UNITY_ROOT_ORDERS = (2, 4)
+
+
+@lru_cache(maxsize=None)
+def _order_histogram(n: int, q: int) -> MappingProxyType:
+    """Element order -> number of elements of GL_n(q) of that order, in
+    one pass over the classes."""
+    hist: dict[int, int] = {}
+    for data in enumerate_classes(n, q):
+        order = element_order_of_class(data)
+        hist[order] = hist.get(order, 0) + class_size(data)
+    return MappingProxyType(hist)
+
+
+@lru_cache(maxsize=None)
+def _fiber_sums(n: int, q: int) -> tuple[int, int]:
+    """(sum over classes of |C| R(C)^2, sum over classes C != 1 of
+    |C| R(C) (R(C) - 1)) in one pass over the classes.
+
+    The mass identity sum |C| R(C) = |G| is asserted on the way.
+    """
+    mass = 0
+    s2 = 0
+    sigma = 0
+    for data in enumerate_classes(n, q):
+        size = class_size(data)
+        r = count_square_roots(data)
+        mass += size * r
+        s2 += size * r * r
+        if not is_identity_class(data):
+            sigma += size * r * (r - 1)
+    assert mass == gl_order(n, q), "square-map mass is not conserved"
+    return s2, sigma
 
 
 def count_order_dividing(n: int, q: int, M: int) -> int:
     """Number of elements of GL_n(q) whose order divides M."""
     if M < 1:
         raise InputError("M must be positive")
-    total = 0
-    for data in enumerate_classes(n, q):
-        if M % element_order_of_class(data) == 0:
-            total += class_size(data)
-    return total
+    return sum(c for order, c in _order_histogram(n, q).items() if M % order == 0)
 
 
 def count_order_exactly(n: int, q: int, M: int) -> int:
-    """Number of elements of order exactly M, by Moebius inversion over
-    the divisors of M."""
+    """Number of elements of GL_n(q) of order exactly M."""
     if M < 1:
         raise InputError("M must be positive")
-    total = 0
-    for d in sympy.divisors(M):
-        total += int(sympy.mobius(M // d)) * count_order_dividing(n, q, int(d))
-    return total
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), n + 1 - i)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out
-
-
-def _series_pow(a: list[Fraction], e: int, n: int) -> list[Fraction]:
-    out = [Fraction(1)] + [Fraction(0)] * n
-    while e:
-        if e & 1:
-            out = _series_mul(out, a, n)
-        a = _series_mul(a, a, n)
-        e >>= 1
-    return out
+    return _order_histogram(n, q).get(M, 0)
 
 
 def count_unity_roots_gf(n: int, q: int, M: int) -> int:
@@ -81,26 +93,33 @@ def count_unity_roots_gf(n: int, q: int, M: int) -> int:
     q-Pochhammer form q^(e m^2) (1/q^e)_m rewritten as a GL order.
     Exact rational series arithmetic throughout, truncated at degree n.
     """
-    from math import gcd as int_gcd
-
     if n < 1:
         raise InputError("dimension must be positive")
-    if int_gcd(M, q) != 1:
+    if gcd(M, q) != 1:
         raise InputError("the generating-function route needs gcd(M, q) = 1")
-    series = [Fraction(1)] + [Fraction(0)] * n
+    series = [1] + [0] * n
     for d in sympy.divisors(M):
         d = int(d)
         e = mult_order(d, q)
         phi = int(sympy.totient(d))
         assert phi % e == 0, "order must divide the totient"
-        inner = [Fraction(0)] * (n + 1)
-        inner[0] = Fraction(1)
+        inner = [0] * (n + 1)
+        inner[0] = 1
         for m in range(1, n // e + 1):
             inner[m * e] = Fraction(1, gl_order(m, q**e))
-        series = _series_mul(series, _series_pow(inner, phi // e, n), n)
+        series = series_mul(series, series_pow(inner, phi // e, n), n)
     value = gl_order(n, q) * series[n]
     assert value.denominator == 1
     return int(value)
+
+
+def unity_root_counts(n: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """(M, count by class enumeration, count by q-series) for each M in
+    UNITY_ROOT_ORDERS."""
+    return tuple(
+        (M, count_order_dividing(n, q, M), count_unity_roots_gf(n, q, M))
+        for M in UNITY_ROOT_ORDERS
+    )
 
 
 def real_class_count_direct(n: int, q: int) -> int:
@@ -113,19 +132,10 @@ def s2_cardinality(n: int, q: int) -> int:
 
     Summing fiber(beta) * fiber(beta^(-1)) over beta and using that
     inverse classes have equal fibers gives sum over classes of
-    |C| * R(C)^2.  The mass identity sum |C| R(C) = |G| is asserted
-    first as a prerequisite.
+    |C| * R(C)^2.  The mass identity sum |C| R(C) = |G|, a
+    prerequisite, is asserted in the same pass.
     """
-    order = gl_order(n, q)
-    mass = 0
-    total = 0
-    for data in enumerate_classes(n, q):
-        size = class_size(data)
-        r = count_square_roots(data)
-        mass += size * r
-        total += size * r * r
-    assert mass == order, "square-map mass is not conserved"
-    return total
+    return _fiber_sums(n, q)[0]
 
 
 def real_class_count_ms(n: int, q: int) -> int:
@@ -153,13 +163,7 @@ def real_class_count_theorem(n: int, q: int, convention: str) -> Fraction:
         c2 = count_order_dividing(n, q, 2)
     else:
         c2 = count_order_exactly(n, q, 2)
-    sigma = 0
-    for data in enumerate_classes(n, q):
-        if is_identity_class(data):
-            continue
-        r = count_square_roots(data)
-        if r:
-            sigma += class_size(data) * r * (r - 1)
+    sigma = _fiber_sums(n, q)[1]
     return 1 + Fraction(c4 + c2 * (c2 - 1) + sigma, order)
 
 
@@ -189,9 +193,7 @@ def audit_real_counts(n: int, q: int) -> AuditReport:
             tuple(mismatches),
         )
     )
-    for M in (2, 4):
-        by_classes = count_order_dividing(n, q, M)
-        by_series = count_unity_roots_gf(n, q, M)
+    for M, by_classes, by_series in unity_root_counts(n, q):
         mm = ()
         if by_classes != by_series:
             mm = (f"series count {by_series} != class count {by_classes}",)

@@ -347,9 +347,10 @@ def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditRep
     return AuditReport(f"gl n={n} q={q} square-map audit", tuple(records))
 
 
-def audit_symplectic_existence(n: int, q: int) -> AuditReport:
-    """Existence predicate vs oracle on every class of Sp_n(q) (matrix
-    size n).  The -I class is expected to be flagged."""
+def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
+    """Existence predicate vs oracle on every class of the group of the
+    given kind: "sp" for Sp_n(q), "u" for U_n(q^2), n the matrix size.
+    On Sp the -I class is expected to be flagged."""
     from .brute_oracle import (
         GroupSpec,
         build_table,
@@ -358,14 +359,14 @@ def audit_symplectic_existence(n: int, q: int) -> AuditReport:
         square_fiber_counts,
     )
 
-    spec = GroupSpec("sp", n, q)
+    spec = GroupSpec(kind, n, q)
     table = build_table(spec)
     fibers = square_fiber_counts(table)
     records = []
     for cls in conjugacy_classes(table):
         rep = table.elements[cls[0]]
         data = class_data_of_element(table.field, rep)
-        predicted = has_square_root_symplectic(data)
+        predicted = predicate(data)
         actual = fibers[cls[0]] > 0
         mismatches = ()
         if predicted != actual:
@@ -383,42 +384,4 @@ def audit_symplectic_existence(n: int, q: int) -> AuditReport:
                 mismatches,
             )
         )
-    return AuditReport(f"sp n={n} q={q} square-root existence audit", tuple(records))
-
-
-def audit_unitary_existence(n: int, q: int) -> AuditReport:
-    """Existence predicate vs oracle on every class of U_n(q^2)."""
-    from .brute_oracle import (
-        GroupSpec,
-        build_table,
-        class_data_of_element,
-        conjugacy_classes,
-        square_fiber_counts,
-    )
-
-    spec = GroupSpec("u", n, q)
-    table = build_table(spec)
-    fibers = square_fiber_counts(table)
-    records = []
-    for cls in conjugacy_classes(table):
-        rep = table.elements[cls[0]]
-        data = class_data_of_element(table.field, rep)
-        predicted = has_square_root_unitary(data)
-        actual = fibers[cls[0]] > 0
-        mismatches = ()
-        if predicted != actual:
-            mismatches = (
-                f"criterion says {str(predicted).lower()}, oracle fiber is {fibers[cls[0]]}",
-            )
-        records.append(
-            AuditRecord(
-                str(data),
-                (
-                    ("class_size", str(len(cls))),
-                    ("criterion", str(predicted).lower()),
-                    ("oracle_fiber", str(fibers[cls[0]])),
-                ),
-                mismatches,
-            )
-        )
-    return AuditReport(f"u n={n} q={q} square-root existence audit", tuple(records))
+    return AuditReport(f"{kind} n={n} q={q} square-root existence audit", tuple(records))

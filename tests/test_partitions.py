@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from squarefibers.limits import InputError, ScaleLimitError
 from squarefibers.partitions import (
     Partition,
-    distinct_part_count,
     gamma_exponent,
     gamma_exponent_conjugate_form,
     halve_multiplicities,
@@ -67,12 +66,6 @@ def test_gamma_exponent_two_forms_agree_exhaustively():
     for n in range(1, 13):
         for lam in partitions_of(n):
             assert gamma_exponent(lam, 1) == gamma_exponent_conjugate_form(lam, 1)
-
-
-def test_distinct_part_count():
-    assert distinct_part_count(Partition(((1, 2),))) == 1
-    assert distinct_part_count(Partition(((1, 1), (2, 2), (5, 1)))) == 3
-    assert distinct_part_count(Partition(())) == 0
 
 
 def test_halve_multiplicities():

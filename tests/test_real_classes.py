@@ -1,12 +1,18 @@
 """Real-class counts by enumeration, by |s(2)|/|G|, by q-series, and the
 audit of the published counting statement."""
 
+import io
+import sys
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from squarefibers import real_classes
 from squarefibers.brute_oracle import GroupSpec, build_table, real_classes_oracle
-from squarefibers.gl_classes import gl_order
+from squarefibers.cli import run
+from squarefibers.gl_classes import class_count, gl_order
 from squarefibers.limits import InputError
 from squarefibers.real_classes import (
     audit_real_counts,
@@ -125,3 +131,29 @@ def test_audit_real_counts_gl1():
     by_subject = {r.subject: r for r in report.records}
     assert not by_subject["published statement (order-dividing)"].mismatches
     assert by_subject["published statement (exact-order)"].mismatches
+
+
+def test_full_audit_makes_one_class_pass_per_statistic(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("count_square_roots", "element_order_of_class", "enumerate_classes"):
+        orig = getattr(real_classes, name)
+        wrapper = counted(name, orig)
+        # every module that imported the function holds its own binding
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("squarefibers") and getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, wrapper)
+    real_classes._order_histogram.cache_clear()
+    real_classes._fiber_sums.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        assert run(["real-classes", "--n", "3", "--q", "3"]) == 0
+    assert calls["count_square_roots"] == class_count(3, 3)
+    assert calls["element_order_of_class"] == class_count(3, 3)
+    assert calls["enumerate_classes"] <= 3

@@ -24,8 +24,7 @@ from squarefibers.partitions import Partition
 from squarefibers.square_fibers import (
     ClosedFormUndefined,
     audit_square_counts,
-    audit_symplectic_existence,
-    audit_unitary_existence,
+    audit_existence,
     count_square_roots,
     has_square_root_gl,
     has_square_root_symplectic,
@@ -242,7 +241,7 @@ def test_gl_audit_flags_exactly_the_closed_form_failures():
 
 
 def test_symplectic_audit_flags_minus_identity():
-    report = audit_symplectic_existence(2, 3)
+    report = audit_existence("sp", has_square_root_symplectic, 2, 3)
     flagged = [r for r in report.records if r.mismatches]
     assert len(flagged) == 1
     assert flagged[0].subject == "(1,1)->1^2"
@@ -250,11 +249,11 @@ def test_symplectic_audit_flags_minus_identity():
 
 
 def test_unitary_audit_runs_and_is_internally_consistent():
-    report = audit_unitary_existence(1, 3)
+    report = audit_existence("u", has_square_root_unitary, 1, 3)
     assert report.flagged == 0
     # U_2(3): the printed criterion misses the conjugate-pair splits of
     # the order-4 scalars; the audit records exactly those two classes.
-    report = audit_unitary_existence(2, 3)
+    report = audit_existence("u", has_square_root_unitary, 2, 3)
     assert report.flagged == 2
     for r in report.records:
         values = dict(r.values)
