@@ -10,6 +10,7 @@ form elsewhere in the package can be audited against raw matrices.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -37,6 +38,7 @@ from .partitions import Partition
 KINDS = ("gl", "u", "sp", "o+", "o-", "o0")
 
 CACHE_MAGIC = b"SQF1"
+_CACHE_HEADER = struct.Struct("<BIIQ")  # kind code, n, q, element count
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 
 
@@ -258,26 +260,27 @@ def _enumerate_isometries(spec: GroupSpec) -> list[Matrix]:
                     acc = field.add(acc, field.mul(x, y))
         return acc
 
-    norm_map: dict[int, list[int]] = {}
-    for idx, v in enumerate(vectors):
-        norm_map.setdefault(pairing(v, fvecs[idx]), []).append(idx)
-
+    # extend(j, cands): cands[i] lists, in vectors order, the vectors of
+    # the right norm for column j + i that pair correctly with each of the
+    # j columns chosen so far.
     out: list[Matrix] = []
-    cols: list[int] = []
+    cols: list[tuple[int, ...]] = []
 
-    def extend(j: int):
+    def extend(j: int, cands: list[list[int]]):
         if j == n:
-            chosen = [vectors[i] for i in cols]
-            out.append(tuple(tuple(chosen[c][r] for c in range(n)) for r in range(n)))
+            out.append(tuple(zip(*cols)))
             return
-        for idx in norm_map.get(form[j][j], ()):
-            fv = fvecs[idx]
-            if all(pairing(vectors[cols[i]], fv) == form[i][j] for i in range(j)):
-                cols.append(idx)
-                extend(j + 1)
-                cols.pop()
+        for idx in cands[0]:
+            u = vectors[idx]
+            cols.append(u)
+            extend(j + 1, [
+                [w for w in ws if pairing(u, fvecs[w]) == form[j][k]]
+                for k, ws in enumerate(cands[1:], j + 1)
+            ])
+            cols.pop()
 
-    extend(0)
+    norms = [pairing(v, fv) for v, fv in zip(vectors, fvecs)]
+    extend(0, [[i for i, c in enumerate(norms) if c == form[k][k]] for k in range(n)])
     return out
 
 
@@ -394,22 +397,22 @@ def conjugacy_classes(table: ElementTable) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def real_classes_oracle(table: ElementTable) -> int:
-    """Number of conjugacy classes containing the inverses of their members."""
-    classes = conjugacy_classes(table)
-    class_id = [0] * len(table.elements)
+def real_classes_oracle(
+    classes: tuple[tuple[int, ...], ...], inverse: list[int]
+) -> int:
+    """Number of conjugacy classes containing the inverses of their members,
+    from conjugacy_classes and inverse_positions of one table."""
+    class_id = [0] * len(inverse)
     for cid, cls in enumerate(classes):
         for idx in cls:
             class_id[idx] = cid
-    inv = inverse_positions(table)
-    return sum(1 for cls in classes if class_id[inv[cls[0]]] == class_id[cls[0]])
+    return sum(1 for cls in classes if class_id[inverse[cls[0]]] == class_id[cls[0]])
 
 
-def s2_oracle(table: ElementTable) -> int:
-    """|{(g, h) : g^2 h^2 = 1}| = sum over beta of fiber(beta) * fiber(beta^(-1))."""
-    fibers = square_fiber_counts(table)
-    inv = inverse_positions(table)
-    return sum(f * fibers[inv[i]] for i, f in enumerate(fibers) if f)
+def s2_oracle(fibers: list[int], inverse: list[int]) -> int:
+    """|{(g, h) : g^2 h^2 = 1}| = sum over beta of fiber(beta) * fiber(beta^(-1)),
+    from square_fiber_counts and inverse_positions of one table."""
+    return sum(f * fibers[inverse[i]] for i, f in enumerate(fibers) if f)
 
 
 def class_data_of_element(field: Field, a: Matrix) -> ClassData:
@@ -452,16 +455,22 @@ def representative_index(table: ElementTable, data: ClassData) -> int:
     return table.index[_encode_matrix(table.field.q, rep)]
 
 
+def _cache_width(spec: GroupSpec) -> int:
+    """Bytes per packed element encoding in a table cache."""
+    q = spec.matrix_field().q
+    return max(1, (int(q ** (spec.n**2) - 1).bit_length() + 7) // 8)
+
+
 def save_table(table: ElementTable, path: str) -> None:
     """Versioned binary cache: magic, header (kind, n, q, count), then the
     packed little-endian element encodings at fixed width."""
     q = table.field.q
-    width = max(1, (int(q**(table.spec.n ** 2) - 1).bit_length() + 7) // 8)
+    width = _cache_width(table.spec)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(
-            struct.pack(
-                "<BIIQ", _KIND_CODES[table.spec.kind], table.spec.n, table.spec.q, len(table.elements)
+            _CACHE_HEADER.pack(
+                _KIND_CODES[table.spec.kind], table.spec.n, table.spec.q, len(table.elements)
             )
         )
         for a in table.elements:
@@ -469,16 +478,25 @@ def save_table(table: ElementTable, path: str) -> None:
 
 
 def load_table(spec: GroupSpec, path: str) -> ElementTable:
-    """Read a cache written by save_table; the header must match spec."""
+    """Read a cache written by save_table; the header must match spec and
+    the file must hold exactly the element count it declares."""
     field = spec.matrix_field()
     q = field.q
-    width = max(1, (int(q**(spec.n ** 2) - 1).bit_length() + 7) // 8)
+    width = _cache_width(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:
             raise InputError(f"{path} is not a group-table cache")
-        kind_code, n, base_q, count = struct.unpack("<BIIQ", fh.read(17))
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise InputError(f"cache {path} is truncated inside its header")
+        kind_code, n, base_q, count = _CACHE_HEADER.unpack(header)
         if (kind_code, n, base_q) != (_KIND_CODES[spec.kind], spec.n, spec.q):
             raise InputError(f"cache {path} was built for a different group")
+        expected_size = len(CACHE_MAGIC) + _CACHE_HEADER.size + count * width
+        if os.fstat(fh.fileno()).st_size != expected_size:
+            raise InputError(
+                f"cache {path} does not hold the {count} elements its header declares"
+            )
         elements = []
         for _ in range(count):
             enc = int.from_bytes(fh.read(width), "little")

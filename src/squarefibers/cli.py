@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from . import __version__
 from .brute_oracle import (
@@ -24,6 +25,7 @@ from .brute_oracle import (
     class_data_of_element,
     conjugacy_classes,
     enumerate_group,
+    inverse_positions,
     load_table,
     real_classes_oracle,
     s2_oracle,
@@ -48,6 +50,7 @@ from .gl_classes import (
     inverse_class,
 )
 from .limits import InputError, ScaleLimitError
+from .matrices import identity_matrix
 from .power_poly import (
     ReciprocalFamily,
     SkewTwoPower,
@@ -72,7 +75,6 @@ from .square_fibers import (
     ClosedFormUndefined,
     audit_square_counts,
     audit_existence,
-    count_square_roots,
     has_square_root_gl,
     has_square_root_symplectic,
     has_square_root_unitary,
@@ -251,7 +253,7 @@ def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     if args.group == "gl":
         roots = square_root_classes(data)
-        count = count_square_roots(data)
+        count = roots.count
         payload["has_square_root"] = has_square_root_gl(data)
         payload["count"] = str(count)
         payload["square_class"] = class_data_to_json(square_class(data))
@@ -382,10 +384,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
             {"fiber_size": str(size), "elements": str(cnt)}
             for size, cnt in sorted(histogram.items())
         ]
-        ident = table.position(tuple(
-            tuple(1 if i == j else 0 for j in range(spec.n)) for i in range(spec.n)
-        ))
-        payload["identity_fiber"] = str(fibers[ident])
+        payload["identity_fiber"] = str(fibers[table.position(identity_matrix(spec.n))])
     elif args.report == "classes":
         classes = conjugacy_classes(table)
         payload["class_count"] = str(len(classes))
@@ -401,10 +400,11 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     elif args.report == "real":
         classes = conjugacy_classes(table)
         payload["class_count"] = str(len(classes))
-        payload["real_classes"] = str(real_classes_oracle(table))
+        payload["real_classes"] = str(real_classes_oracle(classes, inverse_positions(table)))
     else:
-        s2 = s2_oracle(table)
-        real = real_classes_oracle(table)
+        inverse = inverse_positions(table)
+        s2 = s2_oracle(square_fiber_counts(table), inverse)
+        real = real_classes_oracle(conjugacy_classes(table), inverse)
         payload["s2"] = str(s2)
         payload["real_classes"] = str(real)
         payload["murray_sambale_exact"] = s2 == real * len(table)
@@ -414,7 +414,9 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
 # -- plumbing ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The six-verb parser, built on first use and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="squarefibers",
         description="Exact square-map fibers and real-class counts for finite "
@@ -491,8 +493,7 @@ _CSV_RENDERERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, warnings = _HANDLERS[args.verb](args)
     except InputError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -424,37 +425,16 @@ def _require_monic(f: Poly) -> None:
         raise InputError("polynomial must have degree >= 1")
 
 
-def _frobenius_chain(f: Poly, upto: int) -> list[Poly]:
-    """[x^q, x^(q^2), ..., x^(q^upto)] reduced mod f."""
-    q = f.field.q
-    out = []
-    cur = pow_mod(poly_x(f.field), q, f)
-    out.append(cur)
-    for _ in range(upto - 1):
-        cur = pow_mod(cur, q, f)
-        out.append(cur)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
-    """Deterministic irreducibility test.
+    """Deterministic irreducibility test (Ben-Or).
 
-    Agrees with trial division by every monic polynomial of degree at
-    most deg(f)/2: f of degree d is irreducible iff x^(q^d) = x mod f
-    and gcd(x^(q^(d/r)) - x, f) = 1 for each prime r dividing d.
+    f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
+    i <= d/2, which is exactly when the distinct-degree split yields f
+    itself first; the first yield precedes any division, so the test is
+    exact for f that is not squarefree too.
     """
     _require_monic(f)
-    d = f.degree
-    if d == 1:
-        return True
-    chain = _frobenius_chain(f, d)
-    x = poly_x(f.field)
-    if chain[d - 1] != x % f:
-        return False
-    for r in sympy.factorint(d):
-        if gcd(chain[d // r - 1] - x, f).degree > 0:
-            return False
-    return True
+    return next(_distinct_degree(f)) == (f, f.degree)
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -494,11 +474,11 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """(product of all irreducible factors of degree d, d) for squarefree monic f."""
+def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
+    """Yield (product of all irreducible factors of degree d, d) for squarefree
+    monic f, in increasing d."""
     q = f.field.q
     x = poly_x(f.field)
-    out = []
     rest = f
     w = x % rest
     d = 0
@@ -507,12 +487,11 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
         w = pow_mod(w, q, rest)
         h = gcd(w - x, rest)
         if h.degree > 0:
-            out.append((h, d))
+            yield h, d
             rest = (rest // h).monic()
             w = w % rest
     if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+        yield rest, rest.degree
 
 
 def _poly_seed(f: Poly) -> int:

@@ -17,7 +17,6 @@ from .ffpoly import (
     Field,
     Poly,
     field_from_order,
-    is_irreducible,
     monic_irreducibles,
     reciprocal,
     root_order,
@@ -278,9 +277,3 @@ def is_identity_class(data: ClassData) -> bool:
     neg_one = data.field.neg(1)
     return f.coeffs == (neg_one, 1) and lam.pairs == ((1, data.n),)
 
-
-def validate_irreducible_keys(data: ClassData) -> None:
-    """Full irreducibility check for externally supplied class data."""
-    for f, _ in data.entries:
-        if not is_irreducible(f):
-            raise InputError(f"class polynomial {f} is not irreducible")

@@ -43,6 +43,19 @@ class SquareRootClassList:
     base: ClassData
     roots: tuple[ClassData, ...]
 
+    @property
+    def count(self) -> int:
+        """Exact fiber size of the square map at any element of the base
+        class: the sum of centralizer indices [Z(alpha) : Z(g)] over roots."""
+        base = centralizer_order(self.base)
+        total = 0
+        for root in self.roots:
+            idx, rem = divmod(base, centralizer_order(root))
+            if rem:
+                raise RuntimeError("root centralizer does not divide the base centralizer")
+            total += idx
+        return total
+
 
 class ClosedFormUndefined(Exception):
     """The printed closed form does not evaluate on this class
@@ -164,16 +177,8 @@ def square_root_classes(data: ClassData) -> SquareRootClassList:
 
 
 def count_square_roots(data: ClassData) -> int:
-    """Exact fiber size of the square map at any element of the class:
-    the sum of centralizer indices [Z(alpha) : Z(g)] over root classes."""
-    base = centralizer_order(data)
-    total = 0
-    for root in square_root_classes(data).roots:
-        idx, rem = divmod(base, centralizer_order(root))
-        if rem:
-            raise RuntimeError("root centralizer does not divide the base centralizer")
-        total += idx
-    return total
+    """Exact fiber size of the square map at any element of the class."""
+    return square_root_classes(data).count
 
 
 def closed_form_count(data: ClassData) -> int:

@@ -13,6 +13,8 @@ from contextlib import contextmanager, redirect_stdout
 from squarefibers.brute_oracle import (
     GroupSpec,
     build_table,
+    conjugacy_classes,
+    inverse_positions,
     real_classes_oracle,
     representative_index,
     s2_oracle,
@@ -157,7 +159,8 @@ def test_criterion_07_real_classes_three_ways():
         for n, q in cases:
             direct = real_class_count_direct(n, q)
             ms = real_class_count_ms(n, q)
-            oracle = real_classes_oracle(build_table(GroupSpec("gl", n, q)))
+            table = build_table(GroupSpec("gl", n, q))
+            oracle = real_classes_oracle(conjugacy_classes(table), inverse_positions(table))
             assert direct == ms == oracle, (n, q, direct, ms, oracle)
         assert real_class_count_direct(2, 3) == 6
         assert time.monotonic() - start < 90
@@ -179,7 +182,10 @@ def test_criterion_08_murray_sambale_beyond_gl():
         for spec in specs:
             table = build_table(spec)
             assert len(table) <= 10**4
-            assert s2_oracle(table) == len(table) * real_classes_oracle(table), spec
+            inverse = inverse_positions(table)
+            s2 = s2_oracle(square_fiber_counts(table), inverse)
+            real = real_classes_oracle(conjugacy_classes(table), inverse)
+            assert s2 == len(table) * real, spec
 
 
 def test_criterion_09_audits_expose_the_printed_formulas():

@@ -271,3 +271,45 @@ def test_outputs_are_byte_identical_across_runs_and_threads():
         with pytest.raises(SystemExit) as exc:
             invoke(argv + ["--threads", "2"])
         assert exc.value.code == 2
+
+
+def test_oracle_truncated_cache_exits_2(tmp_path):
+    cache = tmp_path / "gl23.sqf"
+    argv = ["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", "real",
+            "--cache", str(cache)]
+    invoke_json(argv)
+    raw = cache.read_bytes()
+    for cut in (10, len(raw) - 1):
+        cache.write_bytes(raw[:cut])
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("report,name", [("real", "conjugacy_classes"),
+                                          ("s2", "inverse_positions")])
+def test_oracle_report_builds_each_map_once(monkeypatch, report, name):
+    import squarefibers.brute_oracle as brute_oracle
+    import squarefibers.cli as cli
+
+    calls = []
+    original = getattr(brute_oracle, name)
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    # both namespaces, so a call from inside the oracle module counts too
+    monkeypatch.setattr(brute_oracle, name, counted)
+    monkeypatch.setattr(cli, name, counted)
+    invoke_json(["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", report])
+    assert len(calls) == 1
+
+
+def test_classes_gl8_over_f3():
+    # this size once raised RecursionError; the schema check is skipped for time
+    code, out, err = invoke(["classes", "--n", "8", "--q", "3"])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["class_count"] == str(len(payload["classes"]))

@@ -158,6 +158,7 @@ def test_factorize_equals_trial_division_exhaustive(q, max_deg):
                 reference(f).items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)
             )
             assert got == want, f"factorization differs at {f}"
+            assert is_irreducible(f) == (reference(f) == {f: 1}), f
             check = poly_one(field)
             for g, m in got:
                 for _ in range(m):

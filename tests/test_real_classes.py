@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from squarefibers import real_classes
-from squarefibers.brute_oracle import GroupSpec, build_table, real_classes_oracle
+from squarefibers.brute_oracle import (
+    GroupSpec,
+    build_table,
+    conjugacy_classes,
+    inverse_positions,
+    real_classes_oracle,
+)
 from squarefibers.cli import run
 from squarefibers.gl_classes import class_count, gl_order
 from squarefibers.limits import InputError
@@ -89,7 +95,8 @@ def test_s2_divisible_by_group_order():
 @pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (3, 3)])
 def test_real_count_matches_oracle(n, q):
     table = build_table(GroupSpec("gl", n, q))
-    assert real_class_count_direct(n, q) == real_classes_oracle(table)
+    oracle = real_classes_oracle(conjugacy_classes(table), inverse_positions(table))
+    assert real_class_count_direct(n, q) == oracle
 
 
 def test_theorem_evaluator_conventions_on_gl1():
