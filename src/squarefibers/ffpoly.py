@@ -6,6 +6,13 @@ a0 + a1*y + ... + a_{k-1}*y^(k-1) modulo a fixed monic irreducible of
 degree k over F_p (the lexicographically smallest one, so the encoding
 is reproducible).  Polynomials store coefficients constant term first.
 
+Extension-field arithmetic is table-driven: multiplication adds discrete
+logarithms, and addition goes through Zech logarithms, log(1 + g^n), so
+neither touches base-p digits; those are used only to define the encoding
+and to build the tables.  Polynomial products, division, gcd and modular
+powers run on plain coefficient lists (see the kernel section below) and
+build one ``Poly`` per result.
+
 Only odd characteristic is supported; everything downstream relies on
 2 being invertible.
 """
@@ -14,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,13 +42,19 @@ from .limits import (
 class Field:
     """The finite field F_q, q = p^k odd.
 
-    Multiplication in extension fields goes through lazily built
-    discrete-log tables (q is capped, so the tables are small).
-    Instances are interned by :func:`field_make`; identity of (p, k)
-    implies identity of the modulus and of the element encoding.
+    For k > 1 the arithmetic reads tables over a generator g, built on
+    first use (q is capped, so they are small): ``_log`` (element ->
+    exponent), ``_exp`` (exponent -> element over two periods, so a sum of
+    two logs needs no reduction, then q - 1 zeros), ``_zech`` (n ->
+    log(1 + g^n) over two periods, so a difference of two logs indexes it
+    directly; where 1 + g^n = 0 it holds 2(q - 1), which sends the sum into
+    the zeros of ``_exp``) and ``_neg``.  Instances are interned by
+    :func:`field_make`; identity of (p, k) implies identity of the modulus
+    and of the element encoding.
     """
 
-    __slots__ = ("p", "k", "q", "modulus_coeffs", "_exp", "_log", "_conj", "_ppows")
+    __slots__ = ("p", "k", "q", "modulus_coeffs", "_exp", "_log", "_zech", "_neg",
+                 "_conj", "_ppows")
 
     def __init__(self, p: int, k: int, modulus_coeffs: tuple[int, ...] | None):
         self.p = p
@@ -49,6 +64,8 @@ class Field:
         self._ppows = tuple(p**i for i in range(k + 1))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
+        self._neg: list[int] | None = None
         self._conj: list[int] | None = None
 
     def __eq__(self, other) -> bool:
@@ -83,22 +100,28 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.k == 1:
-            return (a + b) % p
-        if self.k == 2:
-            return (a + b) % p + p * ((a // p + b // p) % p)
-        return self.from_digits(
-            (x + y) % p for x, y in zip(self.digits(a), self.digits(b))
-        )
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        if self._log is None:
+            self._build_tables()
+        log = self._log
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.k == 1:
-            return (-a) % p
-        return self.from_digits((-d) % p for d in self.digits(a))
+            return (-a) % self.p
+        if self._log is None:
+            self._build_tables()
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -106,18 +129,18 @@ class Field:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
+        if self._log is None:
             self._build_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is None:
-            self._build_tables()
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        exp, log, _ = self._tables()
+        return exp[(-log[a]) % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -126,9 +149,8 @@ class Field:
             return 0 if e else 1
         if self.k == 1:
             return pow(a, e % (self.p - 1) if e >= 0 else e, self.p)
-        if self._exp is None:
-            self._build_tables()
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        exp, log, _ = self._tables()
+        return exp[(log[a] * e) % (self.q - 1)]
 
     def is_square(self, a: int) -> bool:
         return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
@@ -149,6 +171,12 @@ class Field:
             if all(self.pow(g, (self.q - 1) // r) != 1 for r in primes):
                 return g
         raise RuntimeError("no generator found")  # unreachable
+
+    def _tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech) of an extension field, built on first use."""
+        if self._log is None:
+            self._build_tables()
+        return self._exp, self._log, self._zech
 
     # -- internals ---------------------------------------------------------
 
@@ -172,8 +200,9 @@ class Field:
         return self.from_digits(prod[: self.k])
 
     def _build_tables(self) -> None:
-        q = self.q
-        primes = list(sympy.factorint(q - 1))
+        q, p = self.q, self.p
+        m = q - 1
+        primes = list(sympy.factorint(m))
 
         def raw_pow(a, e):
             r = 1
@@ -190,14 +219,25 @@ class Field:
                 gen = g
                 break
         assert gen is not None
-        exp = [1] * (q - 1)
+        exp = [1] * m
         log = [0] * q
         cur = 1
-        for i in range(q - 1):
+        for i in range(m):
             exp[i] = cur
             log[cur] = i
             cur = self._raw_mul(cur, gen)
-        self._exp, self._log = exp, log
+        # 1 + g^n changes only the constant digit of g^n; -1 = g^(m/2).
+        zero = 2 * m
+        zech = [0] * m
+        for n, e in enumerate(exp):
+            one_more = e - e % p + (e + 1) % p
+            zech[n] = log[one_more] if one_more else zero
+        neg = [0] * q
+        for a in range(1, q):
+            neg[a] = exp[(log[a] + m // 2) % m]
+        self._log, self._neg = log, neg
+        self._exp = exp + exp + [0] * m
+        self._zech = zech + zech
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +280,181 @@ def field_from_order(q: int) -> Field:
     return field_make(int(p), int(k))
 
 
+# -- coefficient-list kernel ---------------------------------------------------
+#
+# Lists of element encodings, constant term first.  Over F_p products are
+# integer products of packed coefficients, and division runs on integers
+# reduced mod p once per pass; over F_{p^k} the loops add logs and Zech
+# logs, with the logs of the fixed operand taken once per call.
+
+
+def _trim(c: list[int]) -> list[int]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+# Array typecodes of 2-, 4- and 8-byte unsigned slots, narrowest first.
+_SLOT_CODES = tuple((code, array(code).itemsize) for code in "HIQ")
+
+
+def _slot_type(bound: int) -> tuple[str, int]:
+    """Typecode and byte width of the narrowest slot holding 0..bound."""
+    for code, width in _SLOT_CODES:
+        if not bound >> 8 * width:
+            return code, width
+    raise ScaleLimitError(f"coefficient products up to {bound} exceed 64-bit slots")
+
+
+def _pack(code: str, coeffs) -> int:
+    return int.from_bytes(array(code, coeffs).tobytes(), sys.byteorder)
+
+
+def _unpack(code: str, width: int, packed: int, slots: int) -> array:
+    return array(code, packed.to_bytes(width * slots, sys.byteorder))
+
+
+def _mul(F: Field, a, b) -> list[int]:
+    """Product of two coefficient sequences.
+
+    Over F_p both are packed into integers, one fixed-width slot per
+    coefficient (Kronecker substitution), so the product is one integer
+    multiplication.
+    """
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    if F.k == 1:
+        p = F.p
+        code, width = _slot_type(len(b) * (p - 1) ** 2)
+        prod = _pack(code, a) * _pack(code, b)
+        return [c % p for c in _unpack(code, width, prod, len(a) + len(b) - 1)]
+    out = [0] * (len(a) + len(b) - 1)
+    exp, log, zech = F._tables()
+    terms = [(i, log[x]) for i, x in enumerate(a) if x]
+    for j, y in enumerate(b):
+        if y:
+            ly = log[y]
+            for i, lx in terms:
+                k = i + j
+                t = lx + ly
+                o = out[k]
+                if o:
+                    lo = log[o]
+                    out[k] = exp[lo + zech[t - lo]]
+                else:
+                    out[k] = exp[t]
+    return out
+
+
+def _scale(F: Field, a, c: int) -> list[int]:
+    """Every coefficient times the nonzero element c."""
+    if F.k == 1:
+        p = F.p
+        return [(x * c) % p for x in a]
+    exp, log, _ = F._tables()
+    lc = log[c]
+    return [exp[log[x] + lc] if x else 0 for x in a]
+
+
+def _neg_logs(F: Field, m) -> list[tuple[int, int]]:
+    """(j, log(-m_j)) for the nonzero coefficients below the leading one."""
+    _, log, _ = F._tables()
+    order, half = F.q - 1, (F.q - 1) // 2
+    return [(j, (log[v] + half) % order) for j, v in enumerate(m[:-1]) if v]
+
+
+def _reduce(F: Field, r: list[int], m, quot: list[int] | None = None, neg_logs=None) -> list[int]:
+    """Remainder of the list r (consumed) modulo the monic sequence m.
+
+    The quotient coefficients are written into ``quot`` when a list of
+    length len(r) - deg(m) is passed.  Over F_{p^k}, ``neg_logs`` may carry
+    ``_neg_logs(F, m)`` computed once for many reductions.
+    """
+    d = len(m) - 1
+    if F.k == 1:
+        p, tail = F.p, m[:d]
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i] % p
+            if c:
+                if quot is not None:
+                    quot[i - d] = c
+                k = i - d
+                for v in tail:
+                    r[k] -= c * v
+                    k += 1
+        return _trim([c % p for c in r[:d]])
+    exp, log, zech = F._tables()
+    if neg_logs is None:
+        neg_logs = _neg_logs(F, m)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            if quot is not None:
+                quot[i - d] = c
+            lc = log[c]
+            s = i - d
+            for j, lv in neg_logs:
+                k = s + j
+                t = lc + lv
+                o = r[k]
+                if o:
+                    lo = log[o]
+                    r[k] = exp[lo + zech[t - lo]]
+                else:
+                    r[k] = exp[t]
+    return _trim(r[:d])
+
+
+def _residue_ring(F: Field, m):
+    """(encode, mulmod, decode) for F[x]/(m), m monic of degree d >= 1.
+
+    encode reduces a coefficient sequence, mulmod is the fused product and
+    reduction of two encoded residues, decode gives the trimmed list.  Over
+    F_{p^k} residues are coefficient lists.  Over F_p a residue is packed
+    into one integer, one fixed-width slot per coefficient (Kronecker
+    substitution), so a product is one integer multiplication; its slots of
+    degree >= d are folded back through the packed rows x^i mod m.
+    """
+    if F.k > 1:
+        neg_logs = _neg_logs(F, m)
+        return (
+            lambda a: _reduce(F, list(a), m, None, neg_logs),
+            lambda a, b: _reduce(F, _mul(F, a, b), m, None, neg_logs),
+            list,
+        )
+    p, d = F.p, len(m) - 1
+    # a slot never exceeds 2d(p-1)^2: d products, then at most d - 1 folds
+    code, width = _slot_type(2 * d * (p - 1) ** 2)
+    row = [(-c) % p for c in m[:d]]  # x^d mod m; each next row is x times it
+    rows = [_pack(code, row)]
+    for _ in range(d - 2):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [(u - top * v) % p for u, v in zip(row, m)]
+        rows.append(_pack(code, row))
+    low = (1 << 8 * width * d) - 1
+
+    def mulmod(a: int, b: int) -> int:
+        prod = a * b
+        acc = prod & low
+        for c, row in zip(_unpack(code, width, prod, 2 * d - 1)[d:], rows):
+            c %= p
+            if c:
+                acc += c * row
+        return _pack(code, [c % p for c in _unpack(code, width, acc, d)])
+
+    def encode(a) -> int:
+        return _pack(code, _reduce(F, list(a), m))
+
+    def decode(r: int) -> list[int]:
+        return _trim(list(_unpack(code, width, r, d)))
+
+    return encode, mulmod, decode
+
+
 @dataclass(frozen=True)
 class Poly:
     """Polynomial over a finite field, coefficients constant term first.
@@ -255,6 +470,8 @@ class Poly:
         c = self.coeffs
         if not isinstance(c, tuple):
             c = tuple(c)
+        elif not c or c[-1]:
+            return
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -293,61 +510,31 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(F, ())
-        out = [0] * (len(a) + len(b) - 1)
-        if F.k == 1:
-            p = F.p
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            out = [c % p for c in out]
-        else:
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, tuple(out))
+        return Poly(self.field, tuple(_mul(self.field, self.coeffs, other.coeffs)))
 
     def scale(self, c: int) -> "Poly":
         F = self.field
         if c == 0:
             return Poly(F, ())
-        return Poly(F, tuple(F.mul(c, x) for x in self.coeffs))
+        return Poly(F, tuple(_scale(F, self.coeffs, c)))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
+        a, b = self.coeffs, other.coeffs
         db = len(b) - 1
         if len(a) - 1 < db:
             return Poly(F, ()), self
-        inv_lead = F.inv(b[-1])
+        lead = b[-1]
+        if lead != 1:
+            inv_lead = F.inv(lead)
+            b = _scale(F, b, inv_lead)
         quot = [0] * (len(a) - db)
-        if F.k == 1:
-            p = F.p
-            for i in range(len(a) - 1, db - 1, -1):
-                c = a[i] % p
-                if c:
-                    c = (c * inv_lead) % p
-                    quot[i - db] = c
-                    for j in range(db + 1):
-                        a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-        else:
-            for i in range(len(a) - 1, db - 1, -1):
-                c = a[i]
-                if c:
-                    c = F.mul(c, inv_lead)
-                    quot[i - db] = c
-                    for j in range(db + 1):
-                        a[i - db + j] = F.sub(a[i - db + j], F.mul(c, b[j]))
-        return Poly(F, tuple(quot)), Poly(F, tuple(a[:db]))
+        rem = _reduce(F, list(a), b, quot)
+        if lead != 1:
+            quot = _scale(F, quot, inv_lead)
+        return Poly(F, tuple(quot)), Poly(F, tuple(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -400,22 +587,37 @@ def make_poly(field: Field, coeffs) -> Poly:
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    F = a.field
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        if y[-1] != 1:
+            y = _scale(F, y, F.inv(y[-1]))
+        x, y = y, _reduce(F, x, y)
+    return Poly(F, tuple(x)).monic()
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e modulo mod, by left-to-right square and multiply."""
     if e < 0:
         raise InputError("negative exponent")
-    result = poly_one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    F = base.field
+    m = mod.coeffs
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not e:
+        return poly_one(F)
+    if len(m) == 1:
+        return Poly(F, ())
+    if m[-1] != 1:
+        m = _scale(F, m, F.inv(m[-1]))
+    encode, mulmod, decode = _residue_ring(F, m)
+    b = encode(base.coeffs)
+    r = b
+    for bit in bin(e)[3:]:
+        r = mulmod(r, r)
+        if bit == "1":
+            r = mulmod(r, b)
+    return Poly(F, tuple(decode(r)))
 
 
 def _require_monic(f: Poly) -> None:
@@ -425,16 +627,29 @@ def _require_monic(f: Poly) -> None:
         raise InputError("polynomial must have degree >= 1")
 
 
+# Polynomials proven irreducible in this process: every positive verdict of
+# is_irreducible (so every output of monic_irreducibles) and every factor
+# that factorize returns.  Reducible verdicts are never kept, since
+# monic_irreducibles alone may test MAX_ENUMERATION_SPACE candidates.
+_PROVEN_IRREDUCIBLE: set[Poly] = set()
+
+
 def is_irreducible(f: Poly) -> bool:
     """Deterministic irreducibility test (Ben-Or).
 
     f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
     i <= d/2, which is exactly when the distinct-degree split yields f
     itself first; the first yield precedes any division, so the test is
-    exact for f that is not squarefree too.
+    exact for f that is not squarefree too.  Polynomials already proven
+    irreducible are answered from ``_PROVEN_IRREDUCIBLE`` without a test.
     """
     _require_monic(f)
-    return next(_distinct_degree(f)) == (f, f.degree)
+    if f in _PROVEN_IRREDUCIBLE:
+        return True
+    if next(_distinct_degree(f)) != (f, f.degree):
+        return False
+    _PROVEN_IRREDUCIBLE.add(f)
+    return True
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -563,6 +778,7 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
         for _ in range(m):
             check = check * g
     assert check == Poly(F, coeffs), "factorization failed to recompose"
+    _PROVEN_IRREDUCIBLE.update(g for g, _ in result)
     return result
 
 

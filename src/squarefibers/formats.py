@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .ffpoly import Field, Poly, field_from_order, field_make, is_irreducible, make_poly
 from .gl_classes import ClassData, make_class_data
-from .limits import InputError
+from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 from .partitions import Partition
 
 
@@ -62,9 +62,12 @@ def partition_from_text(text: str) -> Partition:
             raise InputError(f"bad partition string {text!r}") from exc
     pairs.sort()
     try:
-        return Partition(tuple(pairs))
+        lam = Partition(tuple(pairs))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if lam.weight > MAX_PARTITION_WEIGHT:
+        raise ScaleLimitError(f"partition weight {lam.weight} exceeds {MAX_PARTITION_WEIGHT}")
+    return lam
 
 
 def class_data_to_json(data: ClassData) -> dict:
@@ -80,9 +83,21 @@ def class_data_to_json(data: ClassData) -> dict:
 
 def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
     """Parse class data; polynomial keys are fully validated, including
-    irreducibility, since this is the untrusted path."""
-    if not isinstance(obj, dict) or "entries" not in obj:
+    irreducibility, since this is the untrusted path.  The shape is checked
+    first: an object with an 'entries' list of objects holding string
+    'poly' and 'partition' fields, and an integer 'n' when one is given."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise InputError("class data must be an object with an 'entries' list")
+    for item in obj["entries"]:
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("poly"), str)
+            and isinstance(item.get("partition"), str)
+        ):
+            raise InputError("each class entry must be an object with string 'poly' and 'partition'")
+    declared_n = obj.get("n")
+    if "n" in obj and (not isinstance(declared_n, int) or isinstance(declared_n, bool)):
+        raise InputError(f"class data 'n' must be an integer, not {declared_n!r}")
     if field is None:
         if "q" not in obj:
             raise InputError("class data needs a 'q' when no field is given")
@@ -98,6 +113,6 @@ def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
             raise InputError(f"class polynomial {item['poly']!r} is not irreducible")
         entries.append((f, partition_from_text(item["partition"])))
     data = make_class_data(field, entries)
-    if "n" in obj and int(obj["n"]) != data.n:
-        raise InputError(f"declared n = {obj['n']} but the data has weight {data.n}")
+    if "n" in obj and declared_n != data.n:
+        raise InputError(f"declared n = {declared_n} but the data has weight {data.n}")
     return data

@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import io
+import time
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -313,3 +314,25 @@ def test_classes_gl8_over_f3():
     assert code == 0, err
     payload = json.loads(out)["payload"]
     assert payload["class_count"] == str(len(payload["classes"]))
+
+
+@pytest.mark.parametrize("cls", [
+    '{"entries":[{"partition":"1"}]}',  # entry without a "poly"
+    '{"n":"x","entries":[{"poly":"1,1","partition":"1"}]}',  # "n" not an integer
+    '{"entries":"abc"}',  # "entries" not a list
+])
+def test_sqrt_count_malformed_class_json_exits_2(cls):
+    code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "3", "--class", cls])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sqrt_count_partition_over_the_weight_limit_exits_3_at_once():
+    cls = '{"entries":[{"poly":"1,1","partition":"1^100000"}]}'
+    start = time.perf_counter()
+    code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "3", "--class", cls])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squarefibers import ffpoly, power_poly
 from squarefibers.ffpoly import (
     Poly,
     conj_reciprocal,
@@ -147,18 +148,21 @@ def _smallest_divisor(f, irreducibles):
 
 
 @pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 6)])
-def test_factorize_equals_trial_division_exhaustive(q, max_deg):
+def test_factorize_equals_trial_division_exhaustive(q, max_deg, monkeypatch):
+    # With an empty proven set, and f tested before factorize can record
+    # it, every is_irreducible verdict below runs Ben-Or's test.
+    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
     field = field_from_order(q)
     reference = _trial_division_reference(field, max_deg)
     for d in range(1, max_deg + 1):
         for tail in itertools.product(range(q), repeat=d):
             f = Poly(field, tail + (1,))
+            assert is_irreducible(f) == (reference(f) == {f: 1}), f
             got = factorize(f)
             want = sorted(
                 reference(f).items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)
             )
             assert got == want, f"factorization differs at {f}"
-            assert is_irreducible(f) == (reference(f) == {f: 1}), f
             check = poly_one(field)
             for g, m in got:
                 for _ in range(m):
@@ -168,7 +172,7 @@ def test_factorize_equals_trial_division_exhaustive(q, max_deg):
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_monic_irreducible_counts_match_necklace_formula(q, d):
+def test_monic_irreducible_counts_match_necklace_formula(q, d, monkeypatch):
     field = field_from_order(q)
     polys = monic_irreducibles(field, d)
     necklace = sum(
@@ -176,6 +180,7 @@ def test_monic_irreducible_counts_match_necklace_formula(q, d):
     ) // d
     assert len(polys) == necklace
     assert list(polys) == sorted(polys, key=lambda f: f.coeffs)
+    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())  # re-run Ben-Or
     assert all(is_irreducible(f) for f in polys)
 
 
@@ -307,3 +312,56 @@ def test_minimal_polynomial_of_power(F3):
     # squaring a root of x^2+1 lands in the prime field
     assert minimal_polynomial_of_power(Poly(F3, (1, 0, 1)), 2) == Poly(F3, (1, 1))
     assert minimal_polynomial_of_power(Poly(F3, (2, 1)), 2) == Poly(F3, (2, 1))
+
+
+# -- proven irreducibles --------------------------------------------------------
+
+
+def _count_ben_or(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = ffpoly._distinct_degree
+
+    def counting(f):
+        calls[0] += 1
+        return inner(f)
+
+    monkeypatch.setattr(ffpoly, "_distinct_degree", counting)
+    return calls
+
+
+def _guards(f):
+    """The irreducibility guards, past their lru_caches."""
+    return (
+        lambda: root_order.__wrapped__(f),
+        lambda: minimal_polynomial_of_power.__wrapped__(f, 2),
+        lambda: power_poly._require_irreducible_not_x(f),
+    )
+
+
+@pytest.mark.parametrize("q,d", [(3, 4), (5, 3), (9, 2), (25, 1)])
+def test_guards_run_no_ben_or_on_monic_irreducibles(q, d, monkeypatch):
+    f = monic_irreducibles(field_from_order(q), d)[-1]
+    calls = _count_ben_or(monkeypatch)
+    for guard in _guards(f):
+        guard()
+    assert calls[0] == 0
+
+
+def test_guards_run_no_ben_or_on_factors(F5, monkeypatch):
+    factors = [g for g, _ in factorize(Poly(F5, (1, 0, 0, 0, 0, 0, 1)))]  # x^6 + 1
+    calls = _count_ben_or(monkeypatch)
+    for g in factors:
+        for guard in _guards(g):
+            guard()
+    assert calls[0] == 0
+
+
+def test_reducible_input_still_raises_and_is_never_recorded(F5, monkeypatch):
+    f = Poly(F5, (4, 0, 1))  # x^2 - 1
+    calls = _count_ben_or(monkeypatch)
+    for guard in _guards(f):
+        with pytest.raises(InputError):
+            guard()
+    assert not is_irreducible(f)
+    assert calls[0] == 4
+    assert f not in ffpoly._PROVEN_IRREDUCIBLE

@@ -15,7 +15,7 @@ from squarefibers.formats import (
     poly_to_text,
 )
 from squarefibers.gl_classes import enumerate_classes
-from squarefibers.limits import InputError
+from squarefibers.limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 from squarefibers.partitions import Partition
 
 
@@ -49,6 +49,27 @@ def test_partition_text_roundtrip():
         partition_from_text("")
     with pytest.raises(InputError):
         partition_from_text("1^0")
+
+
+def test_partition_weight_limit_applies_at_parse_time():
+    assert partition_from_text(f"1^{MAX_PARTITION_WEIGHT}").weight == MAX_PARTITION_WEIGHT
+    assert partition_from_text("2^31+1^2").weight == MAX_PARTITION_WEIGHT
+    for text in (f"1^{MAX_PARTITION_WEIGHT + 1}", "2^32+1^1", "1^100000"):
+        with pytest.raises(ScaleLimitError):
+            partition_from_text(text)
+
+
+@pytest.mark.parametrize("obj", [
+    {"q": "3", "entries": [{"partition": "1^1"}]},
+    {"q": "3", "entries": [{"poly": 11, "partition": "1^1"}]},
+    {"q": "3", "entries": ["1,1"]},
+    {"q": "3", "entries": "abc"},
+    {"q": "3", "n": "x", "entries": [{"poly": "1,1", "partition": "1^1"}]},
+    {"q": "3", "n": True, "entries": [{"poly": "1,1", "partition": "1^1"}]},
+])
+def test_class_data_json_shape_is_validated(obj):
+    with pytest.raises(InputError):
+        class_data_from_json(obj)
 
 
 def test_class_data_json_shape(F3):

@@ -1,0 +1,189 @@
+"""The F_q[x] kernel against reference arithmetic written out in this file.
+
+Field operations are checked on every pair of elements against digit-wise
+arithmetic on residues of F_p[y] modulo the field's modulus.  Polynomial
+products, division, gcd and modular powers are checked against schoolbook
+routines that call one field operation at a time.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import squarefibers
+from squarefibers.ffpoly import Poly, field_from_order, gcd, pow_mod
+
+
+class RefField:
+    """F_{p^k} by base-p digits: a0 + a1 p + ... encodes a0 + a1 y + ...
+    modulo the field's monic modulus in y."""
+
+    def __init__(self, F):
+        self.p, self.k, self.q = F.p, F.k, F.q
+        self.modulus = F.modulus_coeffs
+
+    def digits(self, a):
+        return [(a // self.p**i) % self.p for i in range(self.k)]
+
+    def encode(self, digits):
+        return sum(d * self.p**i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self.encode(
+            [(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))]
+        )
+
+    def neg(self, a):
+        return self.encode([(-x) % self.p for x in self.digits(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for i in range(2 * k - 2, k - 1, -1):  # y^i = y^(i-k) * (y^k - modulus)
+            c = prod[i]
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * self.modulus[j]) % p
+        return self.encode(prod[:k])
+
+    def inv(self, a):
+        result, base, e = 1, a, self.q - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 125])
+def test_zech_field_ops_match_digitwise_arithmetic_on_every_pair(q):
+    F = field_from_order(q)
+    R = RefField(F)
+    for a in range(q):
+        assert F.neg(a) == R.neg(a)
+        if a:
+            assert F.inv(a) == R.inv(a)
+        for b in range(q):
+            assert F.add(a, b) == R.add(a, b), (a, b)
+            assert F.sub(a, b) == R.sub(a, b), (a, b)
+            assert F.mul(a, b) == R.mul(a, b), (a, b)
+
+
+# -- schoolbook polynomial arithmetic on coefficient tuples ---------------------
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_mul(R, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = R.add(out[i + j], R.mul(x, y))
+    return _trim(out)
+
+
+def ref_divmod(R, a, b):
+    a = list(a)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), _trim(a)
+    inv_lead = R.inv(b[-1])
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            c = R.mul(c, inv_lead)
+            quot[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] = R.sub(a[i - db + j], R.mul(c, b[j]))
+    return _trim(quot), _trim(a[:db])
+
+
+def ref_gcd(R, a, b):
+    while b:
+        a, b = b, ref_divmod(R, a, b)[1]
+    if not a:
+        return ()
+    inv_lead = R.inv(a[-1])
+    return tuple(R.mul(inv_lead, c) for c in a)
+
+
+def ref_pow_mod(R, base, e, mod):
+    result = (1,)
+    base = ref_divmod(R, base, mod)[1]
+    while e:
+        if e & 1:
+            result = ref_divmod(R, ref_mul(R, result, base), mod)[1]
+        base = ref_divmod(R, ref_mul(R, base, base), mod)[1]
+        e >>= 1
+    return result
+
+
+@st.composite
+def poly_cases(draw):
+    q = draw(st.sampled_from([3, 5, 9, 25]))
+    F = field_from_order(q)
+    coeffs = st.lists(st.integers(0, q - 1), max_size=12)
+    a = _trim(draw(coeffs))
+    b = _trim(draw(coeffs))
+    divisor = _trim(draw(coeffs) + [draw(st.integers(1, q - 1))])
+    e = draw(st.one_of(st.integers(0, 64), st.integers(0, q**6)))
+    return F, a, b, divisor, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_cases())
+def test_poly_kernel_matches_schoolbook_reference(case):
+    F, a, b, divisor, e = case
+    R = RefField(F)
+    pa, pb, pd = Poly(F, a), Poly(F, b), Poly(F, divisor)
+    assert (pa * pb).coeffs == ref_mul(R, a, b)
+    quot, rem = divmod(pa, pd)
+    assert (quot.coeffs, rem.coeffs) == ref_divmod(R, a, divisor)
+    assert gcd(pa, pb).coeffs == ref_gcd(R, a, b)
+    assert gcd(pa, pd).coeffs == ref_gcd(R, a, divisor)
+    assert pow_mod(pa, e, pd).coeffs == ref_pow_mod(R, a, e, divisor)
+
+
+# -- set-up cost ----------------------------------------------------------------
+
+
+def test_importing_the_cli_builds_no_field_tables():
+    probe = (
+        "import gc, squarefibers.cli\n"
+        "from squarefibers.ffpoly import Field, field_make\n"
+        "def built():\n"
+        "    fields = [o for o in gc.get_objects() if isinstance(o, Field)]\n"
+        "    slots = ('_exp', '_log', '_zech', '_neg', '_conj')\n"
+        "    return sum(getattr(F, s) is not None for F in fields for s in slots)\n"
+        "after_import = built()\n"
+        "field_make(3, 2).mul(2, 4)\n"
+        "print(after_import, built())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(squarefibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    # none after the import; the probe does see the four of F_9 once used
+    assert out.stdout.split() == ["0", "4"]
