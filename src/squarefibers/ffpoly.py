@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
 
-import sympy
-
 from .limits import (
     MAX_ENUMERATION_SPACE,
     MAX_FIELD_ORDER,
@@ -37,6 +35,7 @@ from .limits import (
     InputError,
     ScaleLimitError,
 )
+from .numtheory import factorint, isprime, n_order
 
 
 class Field:
@@ -166,7 +165,7 @@ class Field:
 
     def multiplicative_generator(self) -> int:
         """Smallest encoding generating the multiplicative group."""
-        primes = list(sympy.factorint(self.q - 1))
+        primes = list(factorint(self.q - 1))
         for g in range(1, self.q):
             if all(self.pow(g, (self.q - 1) // r) != 1 for r in primes):
                 return g
@@ -202,7 +201,7 @@ class Field:
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         m = q - 1
-        primes = list(sympy.factorint(m))
+        primes = list(factorint(m))
 
         def raw_pow(a, e):
             r = 1
@@ -252,10 +251,14 @@ def field_make(p: int, k: int) -> Field:
         raise InputError(f"bad field parameters ({p}, {k})")
     if p == 2:
         raise InputError("even characteristic is not supported")
-    if not sympy.isprime(p):
+    if p < 3:
         raise InputError(f"{p} is not prime")
-    if p**k > MAX_FIELD_ORDER:
+    # p >= 3, so k past the bit length of the bound overflows it: p**k is
+    # only formed when it is small
+    if k >= MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
         raise ScaleLimitError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
+    if not isprime(p):
+        raise InputError(f"{p} is not prime")
     if k == 1:
         return Field(p, 1, None)
     base = field_make(p, 1)
@@ -273,11 +276,13 @@ def field_from_order(q: int) -> Field:
     """F_q from its order; q must be an odd prime power."""
     if not isinstance(q, int) or q < 3:
         raise InputError(f"bad field order {q}")
-    fac = sympy.factorint(q)
+    if q > MAX_FIELD_ORDER:
+        raise ScaleLimitError(f"field order {q} exceeds {MAX_FIELD_ORDER}")
+    fac = factorint(q)
     if len(fac) != 1:
         raise InputError(f"{q} is not a prime power")
     (p, k), = fac.items()
-    return field_make(int(p), int(k))
+    return field_make(p, k)
 
 
 # -- coefficient-list kernel ---------------------------------------------------
@@ -407,8 +412,13 @@ def _reduce(F: Field, r: list[int], m, quot: list[int] | None = None, neg_logs=N
     return _trim(r[:d])
 
 
-def _residue_ring(F: Field, m):
+@lru_cache(maxsize=64)
+def _residue_ring(F: Field, m: tuple[int, ...]):
     """(encode, mulmod, decode) for F[x]/(m), m monic of degree d >= 1.
+
+    Built once per modulus and kept for the most recent 64 moduli:
+    ``_distinct_degree`` raises to the q-th power modulo one polynomial
+    many times, and each power needs only a few products.
 
     encode reduces a coefficient sequence, mulmod is the fused product and
     reduction of two encoded residues, decode gives the trimmed list.  Over
@@ -609,7 +619,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     if len(m) == 1:
         return Poly(F, ())
     if m[-1] != 1:
-        m = _scale(F, m, F.inv(m[-1]))
+        m = tuple(_scale(F, m, F.inv(m[-1])))
     encode, mulmod, decode = _residue_ring(F, m)
     b = encode(base.coeffs)
     r = b
@@ -852,7 +862,7 @@ def root_order(f: Poly) -> int:
     n = q**f.degree - 1
     t = n
     x = poly_x(f.field)
-    for prime in sympy.factorint(n):
+    for prime in factorint(n):
         while t % prime == 0 and pow_mod(x, t // prime, f).is_one():
             t //= prime
     return t
@@ -862,11 +872,9 @@ def mult_order(s: int, q: int) -> int:
     """Least r >= 1 with q^r = 1 mod s; requires gcd(s, q) = 1."""
     if s < 1:
         raise InputError("modulus must be positive")
-    if s == 1:
-        return 1
     if int_gcd(s, q) != 1:
         raise InputError(f"gcd({s}, {q}) != 1")
-    return int(sympy.n_order(q, s))
+    return n_order(q, s)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ def field_from_text(text: str) -> Field:
             return field_make(int(p_str), int(k_str))
         return field_from_order(int(text))
     except ValueError as exc:
-        if isinstance(exc, InputError):
+        if isinstance(exc, (InputError, ScaleLimitError)):
             raise
         raise InputError(f"bad field spec {text!r}") from exc
 

@@ -22,6 +22,7 @@ from .ffpoly import (
     root_order,
 )
 from .limits import MAX_CLASS_COUNT, InputError, ScaleLimitError
+from .numtheory import divisors, mobius
 from .partitions import Partition, gamma_exponent, partition_count, partitions_of
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -90,9 +91,7 @@ def gl_order(n: int, q: int) -> int:
 @lru_cache(maxsize=None)
 def irreducible_count(q: int, d: int) -> int:
     """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e) of monic irreducibles."""
-    import sympy
-
-    total = sum(int(sympy.mobius(e)) * q ** (d // e) for e in sympy.divisors(d))
+    total = sum(mobius(e) * q ** (d // e) for e in divisors(d))
     assert total % d == 0
     return total // d
 

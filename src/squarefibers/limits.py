@@ -9,6 +9,7 @@ MAX_FIELD_ORDER = 2**20
 MAX_POLY_DEGREE = 64
 MAX_PARTITION_WEIGHT = 64
 MAX_CLASS_COUNT = 10**6
+MAX_ROOT_CLASS_COUNT = 10**4
 MAX_GROUP_ORDER = 10**6
 HARD_GROUP_ORDER = 10**7
 MAX_ENUMERATION_SPACE = 2**24

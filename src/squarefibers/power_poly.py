@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
 
-import sympy
-
 from .ffpoly import (
     Poly,
     conj_reciprocal,
@@ -27,6 +25,7 @@ from .ffpoly import (
     substitute_power,
 )
 from .limits import InputError
+from .numtheory import divisors, factorint, totient
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,16 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
         raise InputError(f"gcd({m}, {q}) != 1")
     t = root_order(f)
     m1, m2 = 1, 1
-    for prime, exp in sympy.factorint(m).items():
-        if t % int(prime) == 0:
-            m2 *= int(prime) ** exp
+    for prime, exp in factorint(m).items():
+        if t % prime == 0:
+            m2 *= prime**exp
         else:
-            m1 *= int(prime) ** exp
+            m1 *= prime**exp
     entries = []
-    for e in sorted(int(v) for v in sympy.divisors(m1)):
+    for e in divisors(m1):
         order = e * m2 * t
         degree = mult_order(order, q)
-        num = f.degree * m2 * int(sympy.totient(e))
+        num = f.degree * m2 * totient(e)
         count, rem = divmod(num, degree)
         assert rem == 0, "factor count is not integral"
         entries.append(ButlerEntry(degree, count, order))

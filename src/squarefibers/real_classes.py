@@ -15,8 +15,6 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-import sympy
-
 from .ffpoly import mult_order
 from .gl_classes import (
     class_size,
@@ -29,6 +27,7 @@ from .gl_classes import (
     series_pow,
 )
 from .limits import InputError
+from .numtheory import divisors, totient
 from .square_fibers import AuditRecord, AuditReport, count_square_roots
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
@@ -98,10 +97,9 @@ def count_unity_roots_gf(n: int, q: int, M: int) -> int:
     if gcd(M, q) != 1:
         raise InputError("the generating-function route needs gcd(M, q) = 1")
     series = [1] + [0] * n
-    for d in sympy.divisors(M):
-        d = int(d)
+    for d in divisors(M):
         e = mult_order(d, q)
-        phi = int(sympy.totient(d))
+        phi = totient(d)
         assert phi % e == 0, "order must divide the totient"
         inner = [0] * (n + 1)
         inner[0] = 1

@@ -12,6 +12,7 @@ the deliverable, not a bug.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .gl_classes import (
     gl_order,
     make_class_data,
 )
-from .limits import InputError
+from .limits import MAX_ROOT_CLASS_COUNT, InputError, ScaleLimitError
 from .partitions import Partition, halve_multiplicities
 from .power_poly import (
     ReciprocalFamily,
@@ -143,14 +144,25 @@ def square_root_classes(data: ClassData) -> SquareRootClassList:
     Skew entries halve their multiplicities (or kill the fiber when odd);
     two-power entries distribute each multiplicity between the two
     factors of f(x^2), enumerated in lexicographic order of the
-    f1-multiplicity vector.
+    f1-multiplicity vector.  Their number, the product of m + 1 over the
+    multiplicities m of the two-power entries, is checked against
+    ``MAX_ROOT_CLASS_COUNT`` before any is built.
     """
-    per_entry: list[list[tuple[tuple[Poly, Partition], ...]]] = []
+    shapes = []
+    count = 1
     for f, lam in data.entries:
         cls = classify2(f)
         if isinstance(cls, SkewTwoPower):
             if not lam.all_multiplicities_even():
                 return SquareRootClassList(data, ())
+        else:
+            count *= math.prod(m + 1 for _, m in lam.pairs)
+        shapes.append((lam, cls))
+    if count > MAX_ROOT_CLASS_COUNT:
+        raise ScaleLimitError(f"{count} square root classes exceed {MAX_ROOT_CLASS_COUNT}")
+    per_entry: list[list[tuple[tuple[Poly, Partition], ...]]] = []
+    for lam, cls in shapes:
+        if isinstance(cls, SkewTwoPower):
             per_entry.append([((cls.f_of_x2, halve_multiplicities(lam)),)])
             continue
         choices = []

@@ -336,3 +336,38 @@ def test_sqrt_count_partition_over_the_weight_limit_exits_3_at_once():
     assert code == 3
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_classify_poly_field_order_over_the_limit_exits_3_at_once():
+    # the product of two 26-digit primes: refused before any factoring
+    q = "300000000000000000000001060000000000000000000000871"
+    start = time.perf_counter()
+    code, out, err = invoke(["classify-poly", "--q", q, "--poly", "1,1", "--m", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def _two_power_entries_over_f7(partition):
+    # x+6, x+5, x+3: each f(x^2) splits over F_7, so every multiplicity
+    # of the partition is distributed between two factors
+    entries = [{"poly": poly, "partition": partition} for poly in ("6,1", "5,1", "3,1")]
+    return json.dumps({"entries": entries})
+
+
+def test_sqrt_count_root_class_count_over_the_limit_exits_3_at_once():
+    cls = _two_power_entries_over_f7("1^64")  # 65^3 = 274,625 root classes
+    start = time.perf_counter()
+    code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "7", "--class", cls])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_sqrt_count_root_class_count_under_the_limit_answers():
+    cls = _two_power_entries_over_f7("1^20")  # 21^3 = 9,261 root classes
+    code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "7", "--class", cls])
+    assert code == 0, err
+    assert len(json.loads(out)["payload"]["root_classes"]) == 21**3

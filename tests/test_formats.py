@@ -29,6 +29,12 @@ def test_field_from_text_forms():
         field_from_text("banana")
 
 
+@pytest.mark.parametrize("text", ["3^13", "3^30000000", "1048583", str(2**89 - 1)])
+def test_field_from_text_refuses_orders_over_the_limit(text):
+    with pytest.raises(ScaleLimitError):
+        field_from_text(text)
+
+
 def test_poly_text_roundtrip(F3):
     f = poly_from_text(F3, "2,2,1")
     assert f.coeffs == (2, 2, 1)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squarefibers
+from squarefibers import ffpoly
 from squarefibers.ffpoly import Poly, field_from_order, gcd, pow_mod
 
 
@@ -187,3 +188,16 @@ def test_importing_the_cli_builds_no_field_tables():
     )
     # none after the import; the probe does see the four of F_9 once used
     assert out.stdout.split() == ["0", "4"]
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_pow_mod_builds_the_residue_ring_once_per_modulus(q):
+    F = field_from_order(q)
+    modulus = Poly(F, (2, 0, 1, 3, 1))
+    ffpoly._residue_ring.cache_clear()
+    for base, e in [((1, 1), q), ((0, 1), q**2), ((2, 1, 1), 7), ((3,), 11)]:
+        pow_mod(Poly(F, base), e, modulus)
+    # a non-monic modulus is made monic first, so it shares the ring
+    pow_mod(Poly(F, (0, 1)), q, Poly(F, tuple(F.mul(2, c) for c in modulus.coeffs)))
+    info = ffpoly._residue_ring.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
