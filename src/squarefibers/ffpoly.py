@@ -35,7 +35,7 @@ from .limits import (
     InputError,
     ScaleLimitError,
 )
-from .numtheory import factorint, isprime, n_order
+from .numtheory import factorint, n_order
 
 
 class Field:
@@ -257,7 +257,7 @@ def field_make(p: int, k: int) -> Field:
     # only formed when it is small
     if k >= MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
         raise ScaleLimitError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
-    if not isprime(p):
+    if list(factorint(p)) != [p]:
         raise InputError(f"{p} is not prime")
     if k == 1:
         return Field(p, 1, None)

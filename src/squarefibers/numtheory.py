@@ -2,8 +2,8 @@
 
 Every input the package meets in practice is small (field orders are
 capped, root orders divide q^d - 1), so factorization is trial division
-by a prime table, then Brent's variant of Pollard's rho on what is left,
-with Miller-Rabin on the bases {2, 325, 9375, 28178, 450775, 9780504,
+by a prime table, then Pollard's rho on what is left, with primality from
+Miller-Rabin on the bases {2, 325, 9375, 28178, 450775, 9780504,
 1795265022}, which is a proven primality test for every n < 2^64.  From
 2^64 upward, and only there, the answer is sympy's: it is imported
 inside the call, so the package's import path never loads it.
@@ -43,48 +43,22 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def isprime(n: int) -> bool:
-    """Whether the integer n is prime."""
-    if n >= _WORD:
-        import sympy
-
-        return bool(sympy.isprime(n))
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    return n < _TRIAL_BOUND or _miller_rabin(n)
-
-
 def _rho(n: int) -> int:
-    """A proper factor of the odd composite n (Brent's Pollard rho)."""
+    """A proper factor of the odd composite n (Pollard's rho, Floyd's cycle)."""
     for c in range(1, n):
-        y, r, acc, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * abs(x - y) % n
-                g = gcd(acc, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: step back one term at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
         if g != n:
             return g
     raise AssertionError("rho found no factor")  # unreachable for composite n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def factorint(n: int) -> Mapping[int, int]:
     """Prime factorization of n >= 1 as a read-only {prime: exponent} map,
     primes ascending."""

@@ -13,18 +13,16 @@ import sympy
 import squarefibers
 from squarefibers import numtheory
 from squarefibers.ffpoly import Poly, field_make, is_irreducible, pow_mod, root_order
-from squarefibers.numtheory import divisors, factorint, isprime, mobius, n_order, totient
+from squarefibers.numtheory import divisors, factorint, mobius, n_order, totient
 
 WORD = 2**64
 ODD_PRIME_POWERS = [q for q in range(3, 126, 2) if len(sympy.factorint(q)) == 1]
 Q_POWERS_MINUS_ONE = [q**d - 1 for q in ODD_PRIME_POWERS for d in range(1, 25)]
 
 
-def test_factorint_and_isprime_below_20000():
+def test_factorint_below_20000():
     for n in range(1, 20000):
         assert dict(factorint(n)) == sympy.factorint(n), n
-        assert isprime(n) == sympy.isprime(n), n
-    assert not isprime(0) and not isprime(-7)
 
 
 def test_factorint_lists_primes_ascending_and_is_read_only():
@@ -32,24 +30,14 @@ def test_factorint_lists_primes_ascending_and_is_read_only():
     assert list(fac) == [2, 3, 1009, 2147483647]
     with pytest.raises(TypeError):
         fac[5] = 1
-    with pytest.raises(ValueError):
-        factorint(0)
+    for n in (0, -7):
+        with pytest.raises(ValueError):
+            factorint(n)
 
 
 def test_q_powers_minus_one_below_2_to_the_64():
     for n in (n for n in Q_POWERS_MINUS_ONE if n < WORD):
         assert dict(factorint(n)) == sympy.factorint(n), n
-        assert isprime(n) == sympy.isprime(n), n
-
-
-@pytest.mark.slow
-def test_q_powers_minus_one_from_2_to_the_64():
-    # about 45 s, so deselected by default (run with -m slow): each value is
-    # factored by sympy twice, here and inside factorint
-    for n in (n for n in Q_POWERS_MINUS_ONE if n >= WORD):
-        assert dict(factorint(n)) == sympy.factorint(n), n
-        assert list(factorint(n)) == sorted(factorint(n))
-        assert isprime(n) == sympy.isprime(n), n
 
 
 def test_divisors_totient_mobius_below_5000():
@@ -78,40 +66,43 @@ def test_n_order_against_sympy():
     25326001, 2152302898747, 3474749660383, 341550071728321,
 ])
 def test_pseudoprimes_are_composite(n):
-    assert not isprime(n)
     assert not numtheory._miller_rabin(n)
+    assert list(factorint(n)) != [n]
     assert dict(factorint(n)) == sympy.factorint(n)
 
 
 def test_edges_of_trial_division_and_of_the_bases():
     # the least numbers past the trial bound with no factor below 1000
-    assert not isprime(1009**2) and dict(factorint(1009**2)) == {1009: 2}
-    assert not isprime(1009 * 1013)
-    assert isprime(1000003)
+    assert dict(factorint(1009**2)) == {1009: 2}
+    assert dict(factorint(1009 * 1013)) == {1009: 1, 1013: 1}
+    # rho's first sequence (c = 1) meets both primes at once here, so only
+    # a retry with the next c splits it
+    assert dict(factorint(1009 * 1709)) == {1009: 1, 1709: 1}
+    assert dict(factorint(1000003)) == {1000003: 1}
     # a prime that divides the base 1795265022, which it reduces to 0
-    assert isprime(299210837) and numtheory._miller_rabin(299210837)
+    assert numtheory._miller_rabin(299210837)
+    assert dict(factorint(299210837)) == {299210837: 1}
     assert dict(factorint(6 * 299210837)) == {2: 1, 3: 1, 299210837: 1}
 
 
 def test_below_2_to_the_64_needs_no_sympy(monkeypatch):
     factorint.cache_clear()
     monkeypatch.setitem(sys.modules, "sympy", None)  # any import of it fails
-    assert isprime(WORD - 59)
     assert dict(factorint(WORD - 59)) == {WORD - 59: 1}
     # a semiprime of two 31- and 32-bit primes: only rho can split it
     assert dict(factorint((2**31 - 1) * (2**32 - 5))) == {2**31 - 1: 1, 2**32 - 5: 1}
     assert dict(factorint((2**31 - 1) ** 2)) == {2**31 - 1: 2}
     with pytest.raises(ImportError):
-        isprime(WORD + 13)
+        factorint(WORD + 13)
 
 
 def test_from_2_to_the_64_sympy_answers():
-    assert isprime(WORD + 13) and sympy.isprime(WORD + 13)
+    assert sympy.isprime(WORD + 13)
     assert dict(factorint(WORD + 13)) == {WORD + 13: 1}
     n = (2**32 - 5) * (2**32 + 15)
     assert n >= WORD
-    assert not isprime(n)
     assert dict(factorint(n)) == sympy.factorint(n) == {2**32 - 5: 1, 2**32 + 15: 1}
+    assert list(factorint(n)) == sorted(factorint(n))
 
 
 def test_root_order_past_2_to_the_64_matches_sympy():
