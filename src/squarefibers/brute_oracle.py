@@ -1,8 +1,12 @@
 """Ground truth by exhaustive enumeration of small classical matrix groups.
 
 Groups are realized concretely: GL as all invertible matrices, U/Sp/O
-as the isometries of a fixed standard form.  Squaring fibers, conjugacy
-classes, reality and |s(2)| are computed element by element, and GL
+as the isometries of a fixed standard form.  Every element is listed and
+held as one integer code.  Right multiplication by each of a few
+generators is an index permutation, built from a table over the q^n row
+codes, and squares, inverses and conjugacy classes are walks along those
+permutations: squaring fibers, conjugacy classes, reality and |s(2)| are
+computed element by element with no matrix product per element.  GL
 combinatorial data is recovered from explicit matrices, so every closed
 form elsewhere in the package can be audited against raw matrices.
 """
@@ -10,9 +14,11 @@ form elsewhere in the package can be audited against raw matrices.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import struct
-from dataclasses import dataclass, field as dc_field
+from array import array
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
@@ -27,11 +33,13 @@ from .limits import (
 from .matrices import (
     Matrix,
     char_poly,
+    conj_transpose,
     eval_poly_at_matrix,
     identity_matrix,
     mat_inv,
     mat_mul,
     mat_rank,
+    transpose,
 )
 from .partitions import Partition
 
@@ -40,6 +48,7 @@ KINDS = ("gl", "u", "sp", "o+", "o-", "o0")
 CACHE_MAGIC = b"SQF1"
 _CACHE_HEADER = struct.Struct("<BIIQ")  # kind code, n, q, element count
 _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
+_MAX_CODE = 2**64  # codes are held in unsigned 64-bit arrays
 
 
 @dataclass(frozen=True)
@@ -154,18 +163,24 @@ def expected_group_order(spec: GroupSpec) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class ElementTable:
-    """All elements of the group, in a fixed enumeration order, with an
-    encoding index for O(1) membership and lookup."""
+    """All elements of the group as integer codes (see _encode_matrix), in
+    a fixed enumeration order, with a code -> position index.
 
-    spec: GroupSpec
-    field: Field
-    elements: tuple[Matrix, ...]
-    index: dict[int, int] = dc_field(compare=False, hash=False, repr=False, default=None)
+    ``matrix(i)`` decodes one element on demand.  The generator walks
+    that squares, inverses and classes read (``_Walks``) are built on
+    first use and kept on the table.
+    """
+
+    def __init__(self, spec: GroupSpec, field: Field, codes: array):
+        self.spec = spec
+        self.field = field
+        self.codes = codes
+        self.index = {c: i for i, c in enumerate(codes)}
+        self._walks: _Walks | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def encode(self, a: Matrix) -> int:
         return _encode_matrix(self.field.q, a)
@@ -173,8 +188,13 @@ class ElementTable:
     def position(self, a: Matrix) -> int:
         return self.index[self.encode(a)]
 
+    def matrix(self, i: int) -> Matrix:
+        return _decode_matrix(self.field.q, self.spec.n, self.codes[i])
+
 
 def _encode_matrix(q: int, a: Matrix) -> int:
+    """Row-major base-q code, first entry least significant; so also the
+    base-q^n number whose digits are the row codes, row 0 lowest."""
     enc = 0
     for row in reversed(a):
         for x in reversed(row):
@@ -190,11 +210,14 @@ def _decode_matrix(q: int, n: int, enc: int) -> Matrix:
     return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
 
 
-def _enumerate_gl(field: Field, n: int) -> list[Matrix]:
+def _enumerate_gl(field: Field, n: int) -> array:
+    """Codes of the invertible matrices, rows chosen in vector order."""
     q = field.q
+    row_weight = q**n
     vectors = list(itertools.product(range(q), repeat=n))
+    row_codes = [_encode_matrix(q, (v,)) for v in vectors]
     zero = vectors[0]
-    out: list[Matrix] = []
+    out = array("Q")
 
     def scaled(v, c):
         return tuple(field.mul(c, x) for x in v)
@@ -202,85 +225,106 @@ def _enumerate_gl(field: Field, n: int) -> list[Matrix]:
     def added(u, v):
         return tuple(field.add(x, y) for x, y in zip(u, v))
 
-    def extend(rows: list, span: set):
-        depth = len(rows)
+    def extend(depth: int, prefix: int, span: set):
+        weight = row_weight**depth
         if depth == n - 1:
-            for v in vectors:
-                if v not in span:
-                    out.append(tuple(rows) + (v,))
+            out.extend(
+                prefix + c * weight for v, c in zip(vectors, row_codes) if v not in span
+            )
             return
-        for v in vectors:
+        for v, c in zip(vectors, row_codes):
             if v in span:
                 continue
             child = set(span)
-            for c in range(1, q):
-                cv = scaled(v, c)
-                child.update(added(s, cv) for s in span)
-            rows.append(v)
-            extend(rows, child)
-            rows.pop()
+            for s in range(1, q):
+                sv = scaled(v, s)
+                child.update(added(w, sv) for w in span)
+            extend(depth + 1, prefix + c * weight, child)
 
-    if n == 1:
-        return [((a,),) for a in range(1, q)]
-    extend([], {zero})
+    extend(0, 0, {zero})
     return out
 
 
-def _enumerate_isometries(spec: GroupSpec) -> list[Matrix]:
+def _enumerate_isometries(spec: GroupSpec) -> array:
+    """Codes of the isometries of spec.form(), columns chosen in vector
+    order (the element order fixes the cache bytes and the class order)."""
     field = spec.matrix_field()
     n = spec.n
     q = field.q
     form = spec.form()
-    hermitian = spec.is_hermitian()
+    sigma = field.conj if spec.is_hermitian() else (lambda x: x)
     vectors = [v for v in itertools.product(range(q), repeat=n) if any(v)]
+    # a column v of the matrix contributes spread[v] * q^j to its code
+    row_weight = q**n
+    spread = [sum(x * row_weight**i for i, x in enumerate(v)) for v in vectors]
 
-    def form_vec(v):
-        # w = F v, so that <u, v> = sum sigma(u_s) w_s
-        out = []
-        for i in range(n):
+    def functional(u):
+        # <u, w> = sum_t lam_t w_t with lam_t = sum_s sigma(u_s) F_st
+        su = [sigma(x) for x in u]
+        lam = []
+        for t in range(n):
             acc = 0
-            for j in range(n):
-                c = form[i][j]
-                if c and v[j]:
-                    acc = field.add(acc, field.mul(c, v[j]))
-            out.append(acc)
-        return tuple(out)
+            for s in range(n):
+                if su[s] and form[s][t]:
+                    acc = field.add(acc, field.mul(su[s], form[s][t]))
+            lam.append(acc)
+        return lam
 
-    fvecs = [form_vec(v) for v in vectors]
-
-    def pairing(u, fv):
+    def dot(lam, w):
         acc = 0
-        if hermitian:
-            for x, y in zip(u, fv):
-                if x and y:
-                    acc = field.add(acc, field.mul(field.conj(x), y))
-        else:
-            for x, y in zip(u, fv):
-                if x and y:
-                    acc = field.add(acc, field.mul(x, y))
+        for x, y in zip(lam, w):
+            if x and y:
+                acc = field.add(acc, field.mul(x, y))
         return acc
 
-    # extend(j, cands): cands[i] lists, in vectors order, the vectors of
-    # the right norm for column j + i that pair correctly with each of the
-    # j columns chosen so far.
-    out: list[Matrix] = []
-    cols: list[tuple[int, ...]] = []
+    # equal norms share one list, and a node filters each distinct list
+    # once per target, so equal lists stay shared further down
+    by_norm: dict[int, list[int]] = {}
+    for i, v in enumerate(vectors):
+        by_norm.setdefault(dot(functional(v), v), []).append(i)
+    cands = [by_norm.get(form[k][k], []) for k in range(n)]
+    out = array("Q")
+    if n == 1:  # one column: no pairing, and no q x q table (q may be 2^20)
+        out.extend(spread[w] for w in cands[0])
+        return out
 
-    def extend(j: int, cands: list[list[int]]):
-        if j == n:
-            out.append(tuple(zip(*cols)))
+    # a pairing with a chosen column is evaluated on whole candidate lists
+    # through flat q x q tables and per-coordinate columns of the vectors
+    add_t = [field.add(a, b) for a in range(q) for b in range(q)]
+    mul_t = [field.mul(a, b) for a in range(q) for b in range(q)]
+    coords = [[v[t] for v in vectors] for t in range(n)]
+
+    def pairings(lam, ws):
+        vals = [0] * len(ws)
+        for x, col in zip(lam, coords):
+            if x:
+                row = mul_t[x * q : x * q + q]
+                vals = [add_t[a * q + row[col[w]]] for a, w in zip(vals, ws)]
+        return vals
+
+    # extend(j, prefix, cands): cands[i] lists, in vectors order, the
+    # vectors of the right norm for column j + i that pair correctly with
+    # each of the j columns chosen so far; prefix codes those columns.
+    def extend(j: int, prefix: int, cands: list[list[int]]):
+        weight = q**j
+        if j == n - 1:
+            out.extend(prefix + spread[w] * weight for w in cands[0])
             return
-        for idx in cands[0]:
-            u = vectors[idx]
-            cols.append(u)
-            extend(j + 1, [
-                [w for w in ws if pairing(u, fvecs[w]) == form[j][k]]
-                for k, ws in enumerate(cands[1:], j + 1)
-            ])
-            cols.pop()
+        for u in cands[0]:
+            lam = functional(vectors[u])
+            vals: dict[int, list[int]] = {}
+            kept: dict[tuple[int, int], list[int]] = {}
+            later = []
+            for k, ws in enumerate(cands[1:], j + 1):
+                key = (id(ws), form[j][k])
+                if key not in kept:
+                    if id(ws) not in vals:
+                        vals[id(ws)] = pairings(lam, ws)
+                    kept[key] = [w for w, c in zip(ws, vals[id(ws)]) if c == form[j][k]]
+                later.append(kept[key])
+            extend(j + 1, prefix + spread[u] * weight, later)
 
-    norms = [pairing(v, fv) for v, fv in zip(vectors, fvecs)]
-    extend(0, [[i for i, c in enumerate(norms) if c == form[k][k]] for k in range(n)])
+    extend(0, 0, cands)
     return out
 
 
@@ -298,17 +342,19 @@ def enumerate_group(
     field = spec.matrix_field()
     if field.q**spec.n > MAX_ENUMERATION_SPACE:
         raise ScaleLimitError("column space too large to enumerate")
+    if field.q ** (spec.n**2) > _MAX_CODE:
+        raise ScaleLimitError("matrix codes do not fit in 64 bits")
     if spec.kind == "gl":
-        elements = _enumerate_gl(field, spec.n)
+        codes = _enumerate_gl(field, spec.n)
     else:
-        elements = _enumerate_isometries(spec)
-    if len(elements) != expected:
+        codes = _enumerate_isometries(spec)
+    if len(codes) != expected:
         raise RuntimeError(
-            f"enumerated {len(elements)} elements of {spec}, expected {expected}"
+            f"enumerated {len(codes)} elements of {spec}, expected {expected}"
         )
-    index = {_encode_matrix(field.q, a): i for i, a in enumerate(elements)}
-    assert len(index) == len(elements)
-    return ElementTable(spec, field, tuple(elements), index)
+    table = ElementTable(spec, field, codes)
+    assert len(table.index) == len(codes)
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -317,82 +363,185 @@ def build_table(spec: GroupSpec) -> ElementTable:
     return enumerate_group(spec)
 
 
-def square_fiber_counts(table: ElementTable) -> list[int]:
-    """fiber[i] = |{g : g^2 = elements[i]}|; the counts sum to |G|."""
-    field = table.field
-    counts = [0] * len(table.elements)
-    index = table.index
+# -- generator walks ------------------------------------------------------------
+
+
+class _Walks:
+    """Right multiplication by a few generators, as index permutations,
+    and a breadth-first tree of words from the identity.
+
+    ``right[a][i]`` is the position of element i times generator a.
+    ``words[i]`` spells element i in generator letters: it is their
+    product, left to right.  ``inverse`` is filled on first use by
+    ``_inverse``.
+    """
+
+    def __init__(self, identity: int, right: list[array], words: list[bytes]):
+        self.identity = identity
+        self.right = right
+        self.words = words
+        self.inverse: array | None = None
+
+
+def _row_table(field: Field, g: Matrix) -> list[int]:
+    """t[r] = row code of (the row with code r) * g, for all q^n rows."""
     q = field.q
-    for a in table.elements:
-        sq = mat_mul(field, a, a)
-        counts[index[_encode_matrix(q, sq)]] += 1
-    assert sum(counts) == len(table.elements)
+    vecs = [(0,) * len(g)]
+    for row in g:  # digit i of r (weight q^i) scales row i of g
+        multiples = [tuple(field.mul(c, x) for x in row) for c in range(q)]
+        vecs = [tuple(map(field.add, v, m)) for m in multiples for v in vecs]
+    return [_encode_matrix(q, (v,)) for v in vecs]
+
+
+def _check_member(spec: GroupSpec, field: Field, g: Matrix) -> None:
+    """Raise InputError unless g lies in the group: invertible for GL,
+    preserving the form for U/Sp/O."""
+    form = spec.form()
+    if form is None:
+        try:
+            mat_inv(field, g)
+        except ZeroDivisionError:
+            raise InputError("an element is singular") from None
+        return
+    adj = conj_transpose(field, g) if spec.is_hermitian() else transpose(g)
+    if mat_mul(field, mat_mul(field, adj, form), g) != form:
+        raise InputError("an element does not preserve the form")
+
+
+def _build_walks(table: ElementTable) -> _Walks:
+    """Greedy generators from the end of the table, their permutations
+    and the word tree, grown in one breadth-first walk.
+
+    This also proves that the codes are the group: every generator is
+    checked to lie in it, every product of an element by a generator
+    must be an element, and the walk from the identity must reach every
+    code; with |G| distinct codes that makes the set G.  InputError
+    otherwise.
+    """
+    spec, field, codes, index = table.spec, table.field, table.codes, table.index
+    n, q, total = spec.n, field.q, len(codes)
+    row_weight = q**n
+    if max(codes) >= row_weight**n:
+        raise InputError("a code is not a matrix")
+    identity = index.get(_encode_matrix(q, identity_matrix(n)))
+    if identity is None:
+        raise InputError("the identity is missing")
+    weights = [row_weight**i for i in range(n)]
+    rows = [array("i", [c // w % row_weight for c in codes]) for w in weights]
+
+    def right_perm(g: Matrix) -> array:
+        t = _row_table(field, g)
+        acc = list(map(t.__getitem__, rows[0]))
+        for w, row in zip(weights[1:], rows[1:]):
+            tw = [c * w for c in t]
+            acc = list(map(operator.add, acc, map(tw.__getitem__, row)))
+        try:
+            return array("i", map(index.__getitem__, acc))
+        except KeyError:
+            raise InputError("a product of two elements is not an element") from None
+
+    words: list[bytes | None] = [None] * total
+    words[identity] = b""
+    members = [identity]
+    right: list[array] = []
+    letters: list[bytes] = []
+    for cand in range(total - 1, -1, -1):
+        if len(members) == total:
+            break
+        if words[cand] is not None:
+            continue
+        g = table.matrix(cand)
+        _check_member(spec, field, g)
+        r = right_perm(g)
+        letter = bytes((len(right),))
+        right.append(r)
+        letters.append(letter)
+        # the old members need only the new generator, new ones all of them
+        frontier = []
+        for x in members:
+            y = r[x]
+            if words[y] is None:
+                words[y] = words[x] + letter
+                frontier.append(y)
+        while frontier:
+            members += frontier
+            nxt = []
+            for x in frontier:
+                wx = words[x]
+                for a, p in zip(letters, right):
+                    y = p[x]
+                    if words[y] is None:
+                        words[y] = wx + a
+                        nxt.append(y)
+            frontier = nxt
+    return _Walks(identity, right, words)
+
+
+def _walks(table: ElementTable) -> _Walks:
+    if table._walks is None:
+        table._walks = _build_walks(table)
+    return table._walks
+
+
+def _inverse(table: ElementTable) -> array:
+    """inverse[i] = position of element i^-1: the reversed word of i,
+    walked from the identity through the inverse generator permutations
+    (each the argsort of a generator's)."""
+    w = _walks(table)
+    if w.inverse is None:
+        total = len(table)
+        back = [array("i", sorted(range(total), key=r.__getitem__)) for r in w.right]
+        inverse = array("i", bytes(4 * total))
+        for i, word in enumerate(w.words):
+            y = w.identity
+            for a in reversed(word):
+                y = back[a][y]
+            inverse[i] = y
+        w.inverse = inverse
+    return w.inverse
+
+
+def square_fiber_counts(table: ElementTable) -> list[int]:
+    """fiber[i] = |{g : g^2 = element i}|; the counts sum to |G|.  The
+    square of x is x walked along the word of x."""
+    w = _walks(table)
+    right = w.right
+    counts = [0] * len(table)
+    for x, word in enumerate(w.words):
+        y = x
+        for a in word:
+            y = right[a][y]
+        counts[y] += 1
+    assert sum(counts) == len(table)
     return counts
 
 
 def inverse_positions(table: ElementTable) -> list[int]:
-    field = table.field
-    q = field.q
-    return [
-        table.index[_encode_matrix(q, mat_inv(field, a))] for a in table.elements
-    ]
-
-
-def _generating_set(table: ElementTable) -> list[Matrix]:
-    """Small deterministic generating set, grown until closure is the
-    whole table; each new generator at least doubles the closure."""
-    field = table.field
-    q = field.q
-    total = len(table.elements)
-    ident = identity_matrix(table.spec.n)
-    gens: list[Matrix] = []
-    closure = {_encode_matrix(q, ident)}
-    for a in table.elements:
-        if len(closure) == total:
-            break
-        if _encode_matrix(q, a) in closure:
-            continue
-        gens.append(a)
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for enc in frontier:
-                m = table.elements[table.index[enc]]
-                for g in gens:
-                    prod = _encode_matrix(q, mat_mul(field, m, g))
-                    if prod not in closure:
-                        closure.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    assert len(closure) == total
-    return gens
+    return list(_inverse(table))
 
 
 def conjugacy_classes(table: ElementTable) -> tuple[tuple[int, ...], ...]:
     """Orbits of the conjugation action, as sorted index tuples ordered by
-    first element."""
-    field = table.field
-    q = field.q
-    gens = _generating_set(table)
-    pairs = [(g, mat_inv(field, g)) for g in gens]
-    assigned = [False] * len(table.elements)
+    first element.  Conjugation by a generator g, x -> g^-1 x g, is the
+    permutation inv . R_g . inv . R_g."""
+    inv = _inverse(table)
+    conj = [
+        array("i", map(inv.__getitem__, map(r.__getitem__, map(inv.__getitem__, r))))
+        for r in _walks(table).right
+    ]
+    assigned = bytearray(len(table))
     classes = []
-    for start in range(len(table.elements)):
+    for start in range(len(table)):
         if assigned[start]:
             continue
-        orbit = {start}
-        frontier = [start]
-        assigned[start] = True
-        while frontier:
-            idx = frontier.pop()
-            x = table.elements[idx]
-            for g, ginv in pairs:
-                y = mat_mul(field, mat_mul(field, g, x), ginv)
-                pos = table.index[_encode_matrix(q, y)]
-                if pos not in orbit:
-                    orbit.add(pos)
-                    assigned[pos] = True
-                    frontier.append(pos)
+        assigned[start] = 1
+        orbit = [start]
+        for x in orbit:  # grows while it is scanned
+            for c in conj:
+                y = c[x]
+                if not assigned[y]:
+                    assigned[y] = 1
+                    orbit.append(y)
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
 
@@ -463,25 +612,28 @@ def _cache_width(spec: GroupSpec) -> int:
 
 def save_table(table: ElementTable, path: str) -> None:
     """Versioned binary cache: magic, header (kind, n, q, count), then the
-    packed little-endian element encodings at fixed width."""
-    q = table.field.q
-    width = _cache_width(table.spec)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(
-            _CACHE_HEADER.pack(
-                _KIND_CODES[table.spec.kind], table.spec.n, table.spec.q, len(table.elements)
-            )
-        )
-        for a in table.elements:
-            fh.write(_encode_matrix(q, a).to_bytes(width, "little"))
+    packed little-endian element codes at fixed width.  Written to a
+    temporary file beside path, then moved into place."""
+    spec = table.spec
+    width = _cache_width(spec)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(_CACHE_HEADER.pack(_KIND_CODES[spec.kind], spec.n, spec.q, len(table)))
+            fh.write(b"".join(c.to_bytes(width, "little") for c in table.codes))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(spec: GroupSpec, path: str) -> ElementTable:
-    """Read a cache written by save_table; the header must match spec and
-    the file must hold exactly the element count it declares."""
-    field = spec.matrix_field()
-    q = field.q
+    """Read a cache written by save_table.  The header must match spec,
+    the file must hold exactly the element count it declares, and the
+    codes must be the group (checked through its generators, see
+    _build_walks); InputError otherwise."""
     width = _cache_width(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:
@@ -497,11 +649,15 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
             raise InputError(
                 f"cache {path} does not hold the {count} elements its header declares"
             )
-        elements = []
-        for _ in range(count):
-            enc = int.from_bytes(fh.read(width), "little")
-            elements.append(_decode_matrix(q, n, enc))
-    index = {_encode_matrix(q, a): i for i, a in enumerate(elements)}
-    if len(index) != len(elements) or len(elements) != expected_group_order(spec):
+        raw = fh.read()
+    codes = array("Q", (
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    ))
+    table = ElementTable(spec, spec.matrix_field(), codes)
+    if len(table.index) != len(codes) or len(codes) != expected_group_order(spec):
         raise InputError(f"cache {path} is corrupt")
-    return ElementTable(spec, field, tuple(elements), index)
+    try:
+        _walks(table)
+    except InputError as exc:
+        raise InputError(f"cache {path} is not the group: {exc}") from None
+    return table

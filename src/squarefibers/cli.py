@@ -362,11 +362,14 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     if args.cache:
         import os
 
-        if os.path.exists(args.cache):
-            table = load_table(spec, args.cache)
-        else:
-            table = enumerate_group(spec)
-            save_table(table, args.cache)
+        try:
+            if os.path.exists(args.cache):
+                table = load_table(spec, args.cache)
+            else:
+                table = enumerate_group(spec)
+                save_table(table, args.cache)
+        except OSError as exc:
+            raise InputError(f"cache {args.cache}: {exc.strerror}") from None
     else:
         table = build_table(spec)
     payload = {
@@ -392,7 +395,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
             {
                 "size": str(len(cls)),
                 "representative_data": class_data_to_json(
-                    class_data_of_element(table.field, table.elements[cls[0]])
+                    class_data_of_element(table.field, table.matrix(cls[0]))
                 ),
             }
             for cls in classes

@@ -13,6 +13,7 @@ MAX_ROOT_CLASS_COUNT = 10**4
 MAX_GROUP_ORDER = 10**6
 HARD_GROUP_ORDER = 10**7
 MAX_ENUMERATION_SPACE = 2**24
+MAX_PROFILE_EXPONENT = 2**64 - 1  # largest m of a Butler profile of f(x^m)
 
 
 class InputError(ValueError):

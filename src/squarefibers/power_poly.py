@@ -24,7 +24,7 @@ from .ffpoly import (
     root_order,
     substitute_power,
 )
-from .limits import InputError
+from .limits import MAX_PROFILE_EXPONENT, InputError, ScaleLimitError
 from .numtheory import divisors, factorint, totient
 
 
@@ -91,6 +91,8 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     _require_irreducible_not_x(f)
     if m < 1:
         raise InputError("m must be positive")
+    if m > MAX_PROFILE_EXPONENT:
+        raise ScaleLimitError(f"m = {m} exceeds the limit {MAX_PROFILE_EXPONENT}")
     q = f.field.q
     if int_gcd(m, q) != 1:
         raise InputError(f"gcd({m}, {q}) != 1")

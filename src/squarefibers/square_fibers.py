@@ -381,7 +381,7 @@ def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
     fibers = square_fiber_counts(table)
     records = []
     for cls in conjugacy_classes(table):
-        rep = table.elements[cls[0]]
+        rep = table.matrix(cls[0])
         data = class_data_of_element(table.field, rep)
         predicted = predicate(data)
         actual = fibers[cls[0]] > 0

@@ -1,10 +1,14 @@
 """Exhaustive matrix-group computations: order formulas, fibers, classes,
 reality, |s(2)| and data extraction from explicit matrices."""
 
+from array import array
+
 import pytest
 
 from squarefibers.brute_oracle import (
+    ElementTable,
     GroupSpec,
+    _cache_width,
     build_table,
     class_data_of_element,
     conjugacy_classes,
@@ -27,10 +31,17 @@ from squarefibers.limits import InputError, ScaleLimitError
 from squarefibers.matrices import (
     char_poly,
     conj_transpose,
+    identity_matrix,
+    mat_inv,
     mat_mul,
     transpose,
 )
 from squarefibers.partitions import Partition
+
+
+def _matrices(table):
+    return [table.matrix(i) for i in range(len(table))]
+
 
 MS_TEST_SPECS = [
     GroupSpec("gl", 1, 3),
@@ -82,7 +93,7 @@ def test_gl_table_is_exactly_the_invertible_matrices():
     table = build_table(GroupSpec("gl", 2, 3))
     F = table.field
     dets = set()
-    for a in table.elements:
+    for a in _matrices(table):
         det = F.sub(F.mul(a[0][0], a[1][1]), F.mul(a[0][1], a[1][0]))
         assert det != 0
         dets.add(det)
@@ -92,7 +103,7 @@ def test_gl_table_is_exactly_the_invertible_matrices():
 def test_unitary_table_fixes_the_hermitian_form():
     table = build_table(GroupSpec("u", 2, 3))
     F = table.field
-    for a in list(table.elements)[::7]:
+    for a in _matrices(table)[::7]:
         assert mat_mul(F, conj_transpose(F, a), a) == ((1, 0), (0, 1))
 
 
@@ -101,7 +112,7 @@ def test_symplectic_table_fixes_the_alternating_form():
     table = build_table(spec)
     F = table.field
     form = spec.form()
-    for a in table.elements:
+    for a in _matrices(table):
         assert mat_mul(F, mat_mul(F, transpose(a), form), a) == form
 
 
@@ -213,7 +224,7 @@ def test_data_roundtrip_on_all_classes(n, q):
 def test_char_poly_against_direct_formula_on_gl23():
     table = build_table(GroupSpec("gl", 2, 3))
     F = table.field
-    for a in table.elements:
+    for a in _matrices(table):
         cp = char_poly(F, a)
         tr = F.add(a[0][0], a[1][1])
         det = F.sub(F.mul(a[0][0], a[1][1]), F.mul(a[0][1], a[1][0]))
@@ -224,8 +235,8 @@ def test_inverse_positions():
     table = build_table(GroupSpec("gl", 2, 3))
     F = table.field
     inv = inverse_positions(table)
-    for i, a in enumerate(table.elements):
-        assert mat_mul(F, a, table.elements[inv[i]]) == ((1, 0), (0, 1))
+    for i, a in enumerate(_matrices(table)):
+        assert mat_mul(F, a, table.matrix(inv[i])) == ((1, 0), (0, 1))
 
 
 def test_table_cache_roundtrip(tmp_path):
@@ -236,7 +247,7 @@ def test_table_cache_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"SQF1"
     loaded = load_table(spec, str(path))
-    assert loaded.elements == table.elements
+    assert loaded.codes == table.codes
     with pytest.raises(InputError):
         load_table(GroupSpec("sp", 2, 5), str(path))
 
@@ -259,7 +270,7 @@ def test_table_cache_roundtrip(tmp_path):
 )
 def test_isometries_are_enumerated_in_column_order(spec):
     # the element order fixes the cache bytes and the classes report
-    elements = build_table(spec).elements
+    elements = _matrices(build_table(spec))
     assert len(set(elements)) == len(elements) == expected_group_order(spec)
     assert list(elements) == sorted(elements, key=lambda a: tuple(zip(*a)))
 
@@ -276,3 +287,155 @@ def test_truncated_cache_is_refused(tmp_path):
     path.write_bytes(raw + b"\0")
     with pytest.raises(InputError):
         load_table(spec, str(path))
+
+
+# -- the oracle against a per-element reference ------------------------------
+
+
+def _reference_maps(table):
+    """Fibers, inverses and conjugacy classes of a table element by element:
+    squares by mat_mul, inverses by mat_inv, and classes as orbits of
+    conjugation x -> g^-1 x g by matrix products, over generators taken
+    from the end of the table, each outside the subgroup generated so far
+    (grown by matrix products too, which also gives every x g)."""
+    F = table.field
+    mats = _matrices(table)
+    pos = {a: i for i, a in enumerate(mats)}
+    fibers = [0] * len(mats)
+    for a in mats:
+        fibers[pos[mat_mul(F, a, a)]] += 1
+    inverse = [pos[mat_inv(F, a)] for a in mats]
+
+    gens = []
+    right = []  # right[b][i] = position of element i times gens[b]
+    subgroup = [pos[identity_matrix(table.spec.n)]]
+    seen = set(subgroup)
+    for a in reversed(mats):
+        if len(seen) == len(mats):
+            break
+        if pos[a] in seen:
+            continue
+        gens.append(a)
+        right.append([None] * len(mats))
+        # the old members need only the new generator, new ones all of them
+        todo = [(x, len(gens) - 1) for x in subgroup]
+        while todo:
+            x, b = todo.pop()
+            y = pos[mat_mul(F, mats[x], gens[b])]
+            right[b][x] = y
+            if y not in seen:
+                seen.add(y)
+                subgroup.append(y)
+                todo.extend((y, c) for c in range(len(gens)))
+    assert len(seen) == len(mats)
+    pairs = [(mat_inv(F, g), r) for g, r in zip(gens, right)]
+
+    assigned = [False] * len(mats)
+    classes = []
+    for start in range(len(mats)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for x in orbit:
+            for ginv, r in pairs:
+                y = pos[mat_mul(F, ginv, mats[r[x]])]
+                if not assigned[y]:
+                    assigned[y] = True
+                    orbit.append(y)
+        classes.append(tuple(sorted(orbit)))
+    return fibers, inverse, tuple(classes)
+
+
+REFERENCE_SPECS = [
+    GroupSpec("gl", 1, 3),
+    GroupSpec("gl", 2, 3),
+    GroupSpec("gl", 3, 3),
+    GroupSpec("gl", 2, 5),
+    GroupSpec("u", 2, 3),
+    GroupSpec("u", 3, 3),
+    GroupSpec("sp", 2, 3),
+    GroupSpec("sp", 4, 3),
+    GroupSpec("sp", 2, 5),
+    GroupSpec("o+", 2, 3),
+    GroupSpec("o-", 2, 3),
+    GroupSpec("o+", 4, 3),
+    GroupSpec("o-", 4, 3),
+    GroupSpec("o0", 3, 3),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=str)
+def test_oracle_matches_the_per_element_reference(spec):
+    # a fresh table, so the walks are built here and not shared with other tests
+    table = enumerate_group(spec)
+    fibers, inverse, classes = _reference_maps(table)
+    assert square_fiber_counts(table) == fibers
+    assert inverse_positions(table) == inverse
+    assert conjugacy_classes(table) == classes
+
+
+# -- the cache proves its elements are the group -------------------------------
+
+
+def _corrupt_cache(tmp_path, spec, position, code):
+    """A cache of spec with the element at position replaced by code."""
+    path = tmp_path / "table.sqf"
+    save_table(build_table(spec), str(path))
+    width = _cache_width(spec)
+    raw = bytearray(path.read_bytes())
+    start = 4 + 17 + position * width  # magic, header, then the codes
+    raw[start : start + width] = code.to_bytes(width, "little")
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("position", [0, 1, 47])
+def test_cache_with_a_singular_element_is_refused(tmp_path, position):
+    spec = GroupSpec("gl", 2, 3)
+    with pytest.raises(InputError, match="not the group"):
+        load_table(spec, _corrupt_cache(tmp_path, spec, position, 0))
+
+
+@pytest.mark.parametrize("position", [0, 40, 95])
+def test_cache_with_a_non_isometry_is_refused(tmp_path, position):
+    spec = GroupSpec("u", 2, 3)
+    a = ((1, 1), (0, 1))  # invertible; its second column has norm 2
+    table = build_table(spec)
+    assert table.encode(a) not in table.index
+    with pytest.raises(InputError, match="not the group"):
+        load_table(spec, _corrupt_cache(tmp_path, spec, position, table.encode(a)))
+
+
+def test_cache_without_the_identity_is_refused(tmp_path):
+    spec = GroupSpec("gl", 2, 3)
+    table = build_table(spec)
+    position = table.position(((1, 0), (0, 1)))
+    with pytest.raises(InputError, match="identity"):
+        load_table(spec, _corrupt_cache(tmp_path, spec, position, 0))
+
+
+def test_cache_with_a_code_past_the_matrices_is_refused(tmp_path):
+    spec = GroupSpec("gl", 2, 3)  # codes below 3^4 = 81, one byte each
+    with pytest.raises(InputError, match="not a matrix"):
+        load_table(spec, _corrupt_cache(tmp_path, spec, 5, 200))
+
+
+def test_cache_with_a_repeated_element_is_refused(tmp_path):
+    spec = GroupSpec("gl", 2, 3)
+    with pytest.raises(InputError, match="corrupt"):
+        load_table(spec, _corrupt_cache(tmp_path, spec, 5, build_table(spec).codes[6]))
+
+
+def test_cache_write_is_atomic(tmp_path):
+    spec = GroupSpec("gl", 2, 3)
+    path = tmp_path / "gl23.sqf"
+    save_table(build_table(spec), str(path))
+    before = path.read_bytes()
+    # a code too wide for its slot fails halfway through the write
+    broken = ElementTable(spec, spec.matrix_field(), array("Q", [1, 2**20]))
+    with pytest.raises(OverflowError):
+        save_table(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["gl23.sqf"]
+    assert load_table(spec, str(path)).codes == build_table(spec).codes

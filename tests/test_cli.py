@@ -1,6 +1,7 @@
 """CLI contract: payload shapes, exit codes, schema validation and
 byte-level determinism."""
 
+import hashlib
 import io
 import time
 import json
@@ -306,6 +307,81 @@ def test_oracle_report_builds_each_map_once(monkeypatch, report, name):
     monkeypatch.setattr(cli, name, counted)
     invoke_json(["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", report])
     assert len(calls) == 1
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_cache_with_a_zeroed_element_exits_2(tmp_path):
+    # the zero matrix in place of the first element once gave identity fiber 13
+    cache = tmp_path / "gl23.sqf"
+    argv = ["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", "fibers",
+            "--cache", str(cache)]
+    assert invoke_json(argv)["payload"]["identity_fiber"] == "14"
+    raw = bytearray(cache.read_bytes())
+    raw[21] = 0  # header 4 + 17 bytes, then one byte per element code
+    cache.write_bytes(bytes(raw))
+    assert _one_error_line(*invoke(argv))
+
+
+def test_oracle_cache_with_a_non_isometry_exits_2(tmp_path):
+    cache = tmp_path / "u23.sqf"
+    argv = ["oracle", "--kind", "u", "--n", "2", "--q", "3", "--report", "fibers",
+            "--cache", str(cache)]
+    invoke_json(argv)
+    raw = bytearray(cache.read_bytes())
+    # [[1, 1], [0, 1]] over F_9: invertible, but its second column has norm 2
+    raw[21 + 2 * 40 : 21 + 2 * 41] = (1 + 9 + 729).to_bytes(2, "little")
+    cache.write_bytes(bytes(raw))
+    assert _one_error_line(*invoke(argv))
+
+
+def test_oracle_cache_path_that_cannot_be_used_exits_2(tmp_path):
+    # a missing directory cannot be written, a directory cannot be read
+    for cache in (tmp_path / "missing" / "gl13.sqf", tmp_path):
+        argv = ["oracle", "--kind", "gl", "--n", "1", "--q", "3", "--report", "fibers",
+                "--cache", str(cache)]
+        assert _one_error_line(*invoke(argv))
+
+
+@pytest.mark.parametrize("m", [
+    str(2**64),
+    "300000000000000001940000000000000002091",  # two 20-digit primes: 4.4 s in sympy
+])
+def test_classify_poly_profile_exponent_over_the_limit_exits_3_at_once(m):
+    start = time.perf_counter()
+    code, out, err = invoke(["classify-poly", "--q", "3", "--poly", "1,1", "--m", m])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+# Reports that took 8 to 104 s element by element, with the payloads and
+# the SHA-256 of the full stdout recorded from that implementation.
+PINNED_ORACLE_REPORTS = [
+    (["--kind", "sp", "--n", "4", "--q", "3", "--report", "s2"],
+     {"group_order": "51840", "s2": "725760", "real_classes": "14",
+      "murray_sambale_exact": True},
+     "28e1a34faae174b88031dd8c06d76fd62d52d8691f827ded48d12c613500bf1d"),
+    (["--kind", "u", "--n", "3", "--q", "3", "--report", "classes"],
+     {"group_order": "24192", "class_count": "56"},
+     "72e5f212cd73321ee976f352bd354b2dc8d4be1b5ba640caf6aae32373d64aaf"),
+    (["--kind", "o0", "--n", "5", "--q", "3", "--report", "real"],
+     {"group_order": "103680", "class_count": "50", "real_classes": "50"},
+     "2443501081314091598f96bb5719a00078fe84ccb62bd8addee6bbd35637e6fe"),
+]
+
+
+@pytest.mark.parametrize("argv,expected,digest", PINNED_ORACLE_REPORTS,
+                         ids=["sp4-s2", "u3-classes", "o0_5-real"])
+def test_pinned_oracle_reports(argv, expected, digest):
+    code, out, err = invoke(["oracle", *argv])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert {key: payload[key] for key in expected} == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classes_gl8_over_f3():

@@ -123,7 +123,7 @@ def test_inverse_class_against_oracle():
 
     for data in enumerate_classes(2, 3):
         rep_idx = representative_index(table, data)
-        inv_mat = mat_inv(table.field, table.elements[rep_idx])
+        inv_mat = mat_inv(table.field, table.matrix(rep_idx))
         inv_idx = table.position(inv_mat)
         expected_idx = representative_index(table, inverse_class(data))
         assert class_of[inv_idx] == class_of[expected_idx]
@@ -149,7 +149,7 @@ def test_class_sizes_match_oracle_orbits(n, q):
     classes = conjugacy_classes(table)
     sizes = {}
     for cls in classes:
-        data = class_data_of_element(table.field, table.elements[cls[0]])
+        data = class_data_of_element(table.field, table.matrix(cls[0]))
         sizes[data] = len(cls)
     for data in enumerate_classes(n, q):
         assert class_size(data) == sizes[data]

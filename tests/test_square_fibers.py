@@ -162,7 +162,7 @@ def test_root_classes_match_exhaustive_root_sets_on_gl23():
     table = build_table(GroupSpec("gl", 2, 3))
     field = table.field
     observed = defaultdict(set)
-    for g in table.elements:
+    for g in map(table.matrix, range(len(table))):
         squared = class_data_of_element(field, mat_mul(field, g, g))
         observed[squared].add(class_data_of_element(field, g))
     for data in enumerate_classes(2, 3):
