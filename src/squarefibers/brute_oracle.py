@@ -2,13 +2,15 @@
 
 Groups are realized concretely: GL as all invertible matrices, U/Sp/O
 as the isometries of a fixed standard form.  Every element is listed and
-held as one integer code.  Right multiplication by each of a few
-generators is an index permutation, built from a table over the q^n row
-codes, and squares, inverses and conjugacy classes are walks along those
-permutations: squaring fibers, conjugacy classes, reality and |s(2)| are
-computed element by element with no matrix product per element.  GL
-combinatorial data is recovered from explicit matrices, so every closed
-form elsewhere in the package can be audited against raw matrices.
+held as one integer code.  Multiplication by each of a few generators,
+on the right and on the left, is an index permutation built from a table
+over row or column codes, and conjugation by them sweeps out the
+conjugacy classes.  Squares and inverses are taken by matrices once per
+class and carried to the rest of it by the same conjugations: squaring
+fibers, conjugacy classes, reality and |s(2)| are computed element by
+element with one matrix product or inverse per class.  GL combinatorial
+data is recovered from explicit matrices, so every closed form elsewhere
+in the package can be audited against raw matrices.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ class ElementTable:
     """All elements of the group as integer codes (see _encode_matrix), in
     a fixed enumeration order, with a code -> position index.
 
-    ``matrix(i)`` decodes one element on demand.  The generator walks
-    that squares, inverses and classes read (``_Walks``) are built on
-    first use and kept on the table.
+    ``matrix(i)`` decodes one element on demand.  The conjugation
+    permutations and classes that squares, inverses and classes read
+    (``_Walks``) are built on first use and kept on the table.
     """
 
     def __init__(self, spec: GroupSpec, field: Field, codes: array):
@@ -328,22 +330,28 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
     return out
 
 
+def _check_limits(spec: GroupSpec, ceiling: int) -> int:
+    """The group order, after refusing with ScaleLimitError a group past
+    ceiling, a column space past MAX_ENUMERATION_SPACE or matrix codes
+    that do not fit in the 64-bit code arrays."""
+    expected = expected_group_order(spec)
+    if expected > ceiling:
+        raise ScaleLimitError(f"group order {expected} exceeds the budget {ceiling}")
+    q = spec.matrix_field().q
+    if q**spec.n > MAX_ENUMERATION_SPACE:
+        raise ScaleLimitError("column space too large to enumerate")
+    if q ** (spec.n**2) > _MAX_CODE:
+        raise ScaleLimitError("matrix codes do not fit in 64 bits")
+    return expected
+
+
 def enumerate_group(
     spec: GroupSpec, max_order: int = MAX_GROUP_ORDER, override: bool = False
 ) -> ElementTable:
     """Build the full element table; rejects groups beyond the order budget
     (hard ceiling 10^7 even with override=True)."""
-    expected = expected_group_order(spec)
-    ceiling = HARD_GROUP_ORDER if override else max_order
-    if expected > ceiling:
-        raise ScaleLimitError(
-            f"group order {expected} exceeds the budget {ceiling}"
-        )
+    expected = _check_limits(spec, HARD_GROUP_ORDER if override else max_order)
     field = spec.matrix_field()
-    if field.q**spec.n > MAX_ENUMERATION_SPACE:
-        raise ScaleLimitError("column space too large to enumerate")
-    if field.q ** (spec.n**2) > _MAX_CODE:
-        raise ScaleLimitError("matrix codes do not fit in 64 bits")
     if spec.kind == "gl":
         codes = _enumerate_gl(field, spec.n)
     else:
@@ -367,30 +375,48 @@ def build_table(spec: GroupSpec) -> ElementTable:
 
 
 class _Walks:
-    """Right multiplication by a few generators, as index permutations,
-    and a breadth-first tree of words from the identity.
+    """Conjugation by a few generators, as index permutations, and the
+    conjugacy classes they sweep out.
 
-    ``right[a][i]`` is the position of element i times generator a.
-    ``words[i]`` spells element i in generator letters: it is their
-    product, left to right.  ``inverse`` is filled on first use by
-    ``_inverse``.
+    ``conj[a][i]`` is the position of g_a^-1 x g_a for x element i.
+    ``order`` lists every position class by class, each class from its
+    first element on, and ``starts`` holds where each class begins in
+    it; ``parent[i]`` is the position that element i was
+    reached from by ``conj[via[i]]``, or -1 for the first element of its
+    class.  ``inverse`` is filled on first use by ``_inverse``.
     """
 
-    def __init__(self, identity: int, right: list[array], words: list[bytes]):
-        self.identity = identity
-        self.right = right
-        self.words = words
+    def __init__(
+        self, conj: list[array], order: array, starts: array, parent: array, via: bytearray
+    ):
+        self.conj = conj
+        self.order = order
+        self.starts = starts
+        self.parent = parent
+        self.via = via
         self.inverse: array | None = None
 
 
-def _row_table(field: Field, g: Matrix) -> list[int]:
-    """t[r] = row code of (the row with code r) * g, for all q^n rows."""
-    q = field.q
-    vecs = [(0,) * len(g)]
-    for row in g:  # digit i of r (weight q^i) scales row i of g
-        multiples = [tuple(field.mul(c, x) for x in row) for c in range(q)]
-        vecs = [tuple(map(field.add, v, m)) for m in multiples for v in vecs]
-    return [_encode_matrix(q, (v,)) for v in vecs]
+def _vector_table(field: Field, m: Matrix, weights: list[int], codes) -> dict[int, int]:
+    """t[r] = sum_i (v m)_i weights[i] for v the vector with code r (entry
+    k is digit k, weight q^k), for each r in codes: a row of x m from the
+    row of x, or, with m the transpose of h, a column of h x from the
+    column of x.  Only the codes that occur are tabled: q^n may be far
+    above |G|."""
+    q, n = field.q, len(m)
+    cols = list(zip(*m))
+    t = {}
+    for r in codes:
+        v = [r // q**k % q for k in range(n)]
+        acc = 0
+        for col, w in zip(cols, weights):
+            e = 0
+            for x, y in zip(v, col):
+                if x and y:
+                    e = field.add(e, field.mul(x, y))
+            acc += e * w
+        t[r] = acc
+    return t
 
 
 def _check_member(spec: GroupSpec, field: Field, g: Matrix) -> None:
@@ -409,14 +435,15 @@ def _check_member(spec: GroupSpec, field: Field, g: Matrix) -> None:
 
 
 def _build_walks(table: ElementTable) -> _Walks:
-    """Greedy generators from the end of the table, their permutations
-    and the word tree, grown in one breadth-first walk.
+    """Greedy generators from the end of the table, closed up from the
+    identity by right multiplication; then conjugation by each of them,
+    x -> g^-1 x g, and its orbits, scanned in index order.
 
     This also proves that the codes are the group: every generator is
     checked to lie in it, every product of an element by a generator
-    must be an element, and the walk from the identity must reach every
-    code; with |G| distinct codes that makes the set G.  InputError
-    otherwise.
+    must be an element, and the closure from the identity must reach
+    every code; with |G| distinct codes that makes the set G.
+    InputError otherwise.
     """
     spec, field, codes, index = table.spec, table.field, table.codes, table.index
     n, q, total = spec.n, field.q, len(codes)
@@ -426,55 +453,89 @@ def _build_walks(table: ElementTable) -> _Walks:
     identity = index.get(_encode_matrix(q, identity_matrix(n)))
     if identity is None:
         raise InputError("the identity is missing")
-    weights = [row_weight**i for i in range(n)]
-    rows = [array("i", [c // w % row_weight for c in codes]) for w in weights]
+    # x g is a sum over the rows of x, h x over its columns
+    row_weights = [row_weight**i for i in range(n)]
+    col_weights = [q**j for j in range(n)]
+    rows = [array("i", [c // w % row_weight for c in codes]) for w in row_weights]
+    row_codes = array("i", set().union(*rows))  # the distinct row codes
+    # a row code with its digit k moved to weight q^(kn): the row as a column
+    spread = {r: sum(r // q**k % q * row_weight**k for k in range(n)) for r in row_codes}
+    flipped = map(spread.__getitem__, rows[0])
+    for w, row in zip(col_weights[1:], rows[1:]):
+        flipped = map(operator.add, flipped, map(w.__mul__, map(spread.__getitem__, row)))
+    flipped = list(flipped)
+    cols = [array("i", [c // w % row_weight for c in flipped]) for w in row_weights]
+    del spread, flipped
+    col_codes = array("i", set().union(*cols))
 
-    def right_perm(g: Matrix) -> array:
-        t = _row_table(field, g)
-        acc = list(map(t.__getitem__, rows[0]))
-        for w, row in zip(weights[1:], rows[1:]):
-            tw = [c * w for c in t]
-            acc = list(map(operator.add, acc, map(tw.__getitem__, row)))
+    def perm(parts, weights, t) -> array:
+        acc = map(t.__getitem__, parts[0])
+        for w, part in zip(weights[1:], parts[1:]):
+            tw = {r: c * w for r, c in t.items()}
+            acc = map(operator.add, acc, map(tw.__getitem__, part))
         try:
             return array("i", map(index.__getitem__, acc))
         except KeyError:
             raise InputError("a product of two elements is not an element") from None
 
-    words: list[bytes | None] = [None] * total
-    words[identity] = b""
-    members = [identity]
+    gens: list[Matrix] = []
     right: list[array] = []
-    letters: list[bytes] = []
+    reached = bytearray(total)
+    reached[identity] = 1
+    members = [identity]
     for cand in range(total - 1, -1, -1):
         if len(members) == total:
             break
-        if words[cand] is not None:
+        if reached[cand]:
             continue
         g = table.matrix(cand)
         _check_member(spec, field, g)
-        r = right_perm(g)
-        letter = bytes((len(right),))
+        r = perm(rows, row_weights, _vector_table(field, g, col_weights, row_codes))
+        gens.append(g)
         right.append(r)
-        letters.append(letter)
         # the old members need only the new generator, new ones all of them
         frontier = []
         for x in members:
             y = r[x]
-            if words[y] is None:
-                words[y] = words[x] + letter
+            if not reached[y]:
+                reached[y] = 1
                 frontier.append(y)
         while frontier:
             members += frontier
             nxt = []
-            for x in frontier:
-                wx = words[x]
-                for a, p in zip(letters, right):
-                    y = p[x]
-                    if words[y] is None:
-                        words[y] = wx + a
+            for p in right:
+                for y in map(p.__getitem__, frontier):
+                    if not reached[y]:
+                        reached[y] = 1
                         nxt.append(y)
             frontier = nxt
-    return _Walks(identity, right, words)
+
+    conj = []
+    for g, r in zip(gens, right):
+        h = transpose(mat_inv(field, g))
+        left = perm(cols, col_weights, _vector_table(field, h, row_weights, col_codes))
+        conj.append(array("i", map(left.__getitem__, r)))
+    order = array("i")
+    starts = array("i")
+    parent = array("i", bytes(4 * total))
+    via = bytearray(total)
+    for start in range(total):  # reached is all ones: cleared as classes form
+        if not reached[start]:
+            continue
+        reached[start] = 0
+        parent[start] = -1
+        starts.append(len(order))
+        orbit = [start]
+        for x in orbit:  # grows while it is scanned
+            for a, c in enumerate(conj):
+                y = c[x]
+                if reached[y]:
+                    reached[y] = 0
+                    parent[y] = x
+                    via[y] = a
+                    orbit.append(y)
+        order.extend(orbit)
+    return _Walks(conj, order, starts, parent, via)
 
 
 def _walks(table: ElementTable) -> _Walks:
@@ -483,34 +544,32 @@ def _walks(table: ElementTable) -> _Walks:
     return table._walks
 
 
+def _class_map(table: ElementTable, f) -> array:
+    """out[i] = position of f(element i), for an f that commutes with
+    conjugation (squaring, inversion): f is applied to the first element
+    of each class, and g^-1 f(x) g = f(g^-1 x g) carries it along the
+    orbit tree."""
+    w = _walks(table)
+    conj, parent, via = w.conj, w.parent, w.via
+    out = array("i", bytes(4 * len(table)))
+    for x in w.order:
+        p = parent[x]
+        out[x] = table.position(f(table.matrix(x))) if p < 0 else conj[via[x]][out[p]]
+    return out
+
+
 def _inverse(table: ElementTable) -> array:
-    """inverse[i] = position of element i^-1: the reversed word of i,
-    walked from the identity through the inverse generator permutations
-    (each the argsort of a generator's)."""
+    """inverse[i] = position of element i^-1."""
     w = _walks(table)
     if w.inverse is None:
-        total = len(table)
-        back = [array("i", sorted(range(total), key=r.__getitem__)) for r in w.right]
-        inverse = array("i", bytes(4 * total))
-        for i, word in enumerate(w.words):
-            y = w.identity
-            for a in reversed(word):
-                y = back[a][y]
-            inverse[i] = y
-        w.inverse = inverse
+        w.inverse = _class_map(table, lambda a: mat_inv(table.field, a))
     return w.inverse
 
 
 def square_fiber_counts(table: ElementTable) -> list[int]:
-    """fiber[i] = |{g : g^2 = element i}|; the counts sum to |G|.  The
-    square of x is x walked along the word of x."""
-    w = _walks(table)
-    right = w.right
+    """fiber[i] = |{g : g^2 = element i}|; the counts sum to |G|."""
     counts = [0] * len(table)
-    for x, word in enumerate(w.words):
-        y = x
-        for a in word:
-            y = right[a][y]
+    for y in _class_map(table, lambda a: mat_mul(table.field, a, a)):
         counts[y] += 1
     assert sum(counts) == len(table)
     return counts
@@ -522,28 +581,10 @@ def inverse_positions(table: ElementTable) -> list[int]:
 
 def conjugacy_classes(table: ElementTable) -> tuple[tuple[int, ...], ...]:
     """Orbits of the conjugation action, as sorted index tuples ordered by
-    first element.  Conjugation by a generator g, x -> g^-1 x g, is the
-    permutation inv . R_g . inv . R_g."""
-    inv = _inverse(table)
-    conj = [
-        array("i", map(inv.__getitem__, map(r.__getitem__, map(inv.__getitem__, r))))
-        for r in _walks(table).right
-    ]
-    assigned = bytearray(len(table))
-    classes = []
-    for start in range(len(table)):
-        if assigned[start]:
-            continue
-        assigned[start] = 1
-        orbit = [start]
-        for x in orbit:  # grows while it is scanned
-            for c in conj:
-                y = c[x]
-                if not assigned[y]:
-                    assigned[y] = 1
-                    orbit.append(y)
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
+    first element."""
+    w = _walks(table)
+    bounds = [*w.starts, len(table)]
+    return tuple(tuple(sorted(w.order[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
 def real_classes_oracle(
@@ -633,7 +674,10 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
     """Read a cache written by save_table.  The header must match spec,
     the file must hold exactly the element count it declares, and the
     codes must be the group (checked through its generators, see
-    _build_walks); InputError otherwise."""
+    _build_walks); InputError otherwise.  A group that enumerate_group
+    would refuse even with override=True is refused first, with
+    ScaleLimitError."""
+    expected = _check_limits(spec, HARD_GROUP_ORDER)
     width = _cache_width(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:
@@ -644,6 +688,8 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
         kind_code, n, base_q, count = _CACHE_HEADER.unpack(header)
         if (kind_code, n, base_q) != (_KIND_CODES[spec.kind], spec.n, spec.q):
             raise InputError(f"cache {path} was built for a different group")
+        if count != expected:
+            raise InputError(f"cache {path} declares {count} elements, not {expected}")
         expected_size = len(CACHE_MAGIC) + _CACHE_HEADER.size + count * width
         if os.fstat(fh.fileno()).st_size != expected_size:
             raise InputError(
@@ -654,7 +700,7 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ))
     table = ElementTable(spec, spec.matrix_field(), codes)
-    if len(table.index) != len(codes) or len(codes) != expected_group_order(spec):
+    if len(table.index) != len(codes):
         raise InputError(f"cache {path} is corrupt")
     try:
         _walks(table)

@@ -362,6 +362,11 @@ REFERENCE_SPECS = [
     GroupSpec("o+", 4, 3),
     GroupSpec("o-", 4, 3),
     GroupSpec("o0", 3, 3),
+    # cyclic and dihedral: one class per element, or nearly
+    GroupSpec("gl", 1, 1009),
+    GroupSpec("u", 1, 101),
+    GroupSpec("o+", 2, 101),
+    GroupSpec("o-", 2, 101),
 ]
 
 

@@ -384,6 +384,50 @@ def test_pinned_oracle_reports(argv, expected, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Cyclic groups, where the breadth-first word of an element from a few
+# generators can be about as long as the group order: walking such words
+# took 13 s for GL_1(30011), element by element it takes under a second.
+# Payloads and digests recorded from the element-by-element implementation.
+LARGE_CYCLIC_ORACLE_REPORTS = [
+    (["--kind", "gl", "--n", "1", "--q", "30011", "--report", "s2"],
+     {"group_order": "30010", "s2": "60020", "real_classes": "2",
+      "murray_sambale_exact": True},
+     "07d393d34b415f9ab1fec73d5568f0b0ff7da38e648d7fdd67beb6de761aff81"),
+    (["--kind", "gl", "--n", "1", "--q", "65537", "--report", "real"],
+     {"group_order": "65536", "class_count": "65536", "real_classes": "2"},
+     "a38726bff74d14b9e56035b467139403d180132cb6d30669163b58e355ef8a9e"),
+]
+
+
+@pytest.mark.parametrize("argv,expected,digest", LARGE_CYCLIC_ORACLE_REPORTS,
+                         ids=["gl1_30011-s2", "gl1_65537-real"])
+def test_oracle_on_a_large_cyclic_group_runs_in_linear_time(argv, expected, digest):
+    start = time.perf_counter()
+    code, out, err = invoke(["oracle", *argv])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert {key: payload[key] for key in expected} == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["gl", "o0"])
+def test_oracle_cache_for_codes_past_64_bits_exits_3(tmp_path, kind):
+    # 149^9 > 2^64: nine-byte codes; GL_3(149) is also past the order
+    # budget, O_3(149) (6.6 million elements) is not
+    import struct
+
+    cache = tmp_path / "big.sqf"
+    count = 2
+    header = struct.pack("<BIIQ", ["gl", "u", "sp", "o+", "o-", "o0"].index(kind), 3, 149, count)
+    cache.write_bytes(b"SQF1" + header + b"\xff" * 9 * count)
+    code, out, err = invoke(["oracle", "--kind", kind, "--n", "3", "--q", "149",
+                             "--report", "real", "--cache", str(cache)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
 def test_classes_gl8_over_f3():
     # this size once raised RecursionError; the schema check is skipped for time
     code, out, err = invoke(["classes", "--n", "8", "--q", "3"])
