@@ -170,8 +170,9 @@ class ElementTable:
     a fixed enumeration order, with a code -> position index.
 
     ``matrix(i)`` decodes one element on demand.  The conjugation
-    permutations and classes that squares, inverses and classes read
-    (``_Walks``) are built on first use and kept on the table.
+    permutations and orbits (``_Walks``) that squares, inverses and the
+    class list are read from are built on first use and kept on the
+    table.
     """
 
     def __init__(self, spec: GroupSpec, field: Field, codes: array):
@@ -381,9 +382,9 @@ class _Walks:
     ``conj[a][i]`` is the position of g_a^-1 x g_a for x element i.
     ``order`` lists every position class by class, each class from its
     first element on, and ``starts`` holds where each class begins in
-    it; ``parent[i]`` is the position that element i was
-    reached from by ``conj[via[i]]``, or -1 for the first element of its
-    class.  ``inverse`` is filled on first use by ``_inverse``.
+    it; ``parent[i]`` is the position that element i was reached from
+    by ``conj[via[i]]``, or -1 for the first element of its class.
+    ``inverse`` is filled on first use by ``_inverse``.
     """
 
     def __init__(
@@ -397,15 +398,23 @@ class _Walks:
         self.inverse: array | None = None
 
 
-def _vector_table(field: Field, m: Matrix, weights: list[int], codes) -> dict[int, int]:
-    """t[r] = sum_i (v m)_i weights[i] for v the vector with code r (entry
-    k is digit k, weight q^k), for each r in codes: a row of x m from the
-    row of x, or, with m the transpose of h, a column of h x from the
-    column of x.  Only the codes that occur are tabled: q^n may be far
-    above |G|."""
+def _places(parts: list[list[int]]) -> tuple[array, list[array]]:
+    """The distinct codes in parts, and parts with each code replaced by
+    its place among them: tables then cover only the codes that occur
+    (q^n may be far above |G|) and are still lists."""
+    distinct = array("i", set().union(*parts))
+    place = {c: i for i, c in enumerate(distinct)}
+    return distinct, [array("i", map(place.__getitem__, p)) for p in parts]
+
+
+def _vector_table(field: Field, m: Matrix, weights: list[int], codes: array) -> list[int]:
+    """t[i] = sum_j (v m)_j weights[j] for v the vector with code codes[i]
+    (entry k is digit k, weight q^k): a row of x m from the row of x,
+    or, with m the transpose of h, a column of h x from the column of
+    x."""
     q, n = field.q, len(m)
     cols = list(zip(*m))
-    t = {}
+    t = []
     for r in codes:
         v = [r // q**k % q for k in range(n)]
         acc = 0
@@ -415,7 +424,7 @@ def _vector_table(field: Field, m: Matrix, weights: list[int], codes) -> dict[in
                 if x and y:
                     e = field.add(e, field.mul(x, y))
             acc += e * w
-        t[r] = acc
+        t.append(acc)
     return t
 
 
@@ -456,22 +465,22 @@ def _build_walks(table: ElementTable) -> _Walks:
     # x g is a sum over the rows of x, h x over its columns
     row_weights = [row_weight**i for i in range(n)]
     col_weights = [q**j for j in range(n)]
-    rows = [array("i", [c // w % row_weight for c in codes]) for w in row_weights]
-    row_codes = array("i", set().union(*rows))  # the distinct row codes
+    rows = [[c // w % row_weight for c in codes] for w in row_weights]
+    row_codes, rows = _places(rows)
     # a row code with its digit k moved to weight q^(kn): the row as a column
-    spread = {r: sum(r // q**k % q * row_weight**k for k in range(n)) for r in row_codes}
+    spread = [sum(r // q**k % q * row_weight**k for k in range(n)) for r in row_codes]
     flipped = map(spread.__getitem__, rows[0])
     for w, row in zip(col_weights[1:], rows[1:]):
         flipped = map(operator.add, flipped, map(w.__mul__, map(spread.__getitem__, row)))
     flipped = list(flipped)
-    cols = [array("i", [c // w % row_weight for c in flipped]) for w in row_weights]
+    cols = [[c // w % row_weight for c in flipped] for w in row_weights]
     del spread, flipped
-    col_codes = array("i", set().union(*cols))
+    col_codes, cols = _places(cols)
 
     def perm(parts, weights, t) -> array:
         acc = map(t.__getitem__, parts[0])
         for w, part in zip(weights[1:], parts[1:]):
-            tw = {r: c * w for r, c in t.items()}
+            tw = [c * w for c in t]
             acc = map(operator.add, acc, map(tw.__getitem__, part))
         try:
             return array("i", map(index.__getitem__, acc))

@@ -384,10 +384,11 @@ def test_pinned_oracle_reports(argv, expected, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Cyclic groups, where the breadth-first word of an element from a few
-# generators can be about as long as the group order: walking such words
-# took 13 s for GL_1(30011), element by element it takes under a second.
-# Payloads and digests recorded from the element-by-element implementation.
+# Cyclic groups: one class per element, and an element can need a product
+# of generators about as long as the group order, so no report may do work
+# per element that grows with that length.  Element by element these take
+# about a second on a 2-vCPU Xeon (walking generator words, 13 s for the
+# first); payloads and digests recorded element by element.
 LARGE_CYCLIC_ORACLE_REPORTS = [
     (["--kind", "gl", "--n", "1", "--q", "30011", "--report", "s2"],
      {"group_order": "30010", "s2": "60020", "real_classes": "2",
@@ -404,7 +405,7 @@ LARGE_CYCLIC_ORACLE_REPORTS = [
 def test_oracle_on_a_large_cyclic_group_runs_in_linear_time(argv, expected, digest):
     start = time.perf_counter()
     code, out, err = invoke(["oracle", *argv])
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 10.0
     assert code == 0, err
     payload = json.loads(out)["payload"]
     assert {key: payload[key] for key in expected} == expected
