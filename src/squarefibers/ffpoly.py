@@ -29,7 +29,6 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .limits import (
-    MAX_ENUMERATION_SPACE,
     MAX_FIELD_ORDER,
     MAX_POLY_DEGREE,
     InputError,
@@ -198,6 +197,53 @@ class Field:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * mod[j]) % p
         return self.from_digits(prod[: self.k])
 
+    def _times(self, c: int):
+        """a -> a * c, with no tables of logs.
+
+        The base-p digits of a are cut into r chunks of h digits.  The
+        product of each chunk with c is precomputed with its digits in
+        binary slots of s bits, wide enough to hold a sum of r digits, so
+        a product is r lookups and integer additions, and then one lookup
+        per chunk of h slots to take each slot mod p and go back to base p.
+        h is the largest with 2^(h s) <= 2^12 lookup entries.
+        """
+        p, k = self.p, self.k
+        if k == 1:
+            return lambda a: a * c % p
+        h = 1
+        while h < k and (h + 1) * (-(-k // (h + 1)) * (p - 1)).bit_length() <= 12:
+            h += 1
+        r = -(-k // h)
+        s = (r * (p - 1)).bit_length()
+        chunk, width = p**h, h * s
+
+        def slots(a: int) -> int:
+            return sum(d << s * j for j, d in enumerate(self.digits(a)))
+
+        products = [
+            [slots(self._raw_mul(u * chunk**i, c)) for u in range(p ** min(h, k - i * h))]
+            for i in range(r)
+        ]
+        to_base_p = [0]
+        for j in range(h):
+            to_base_p = [x + v % p * p**j for v in range(1 << s) for x in to_base_p]
+        mask = (1 << width) - 1
+
+        def times(a: int) -> int:
+            wide = 0
+            for table in products:
+                a, u = divmod(a, chunk)
+                wide += table[u]
+            out = 0
+            scale = 1
+            while wide:
+                out += to_base_p[wide & mask] * scale
+                wide >>= width
+                scale *= chunk
+            return out
+
+        return times
+
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         m = q - 1
@@ -218,13 +264,14 @@ class Field:
                 gen = g
                 break
         assert gen is not None
+        times_gen = self._times(gen)
         exp = [1] * m
         log = [0] * q
         cur = 1
         for i in range(m):
             exp[i] = cur
             log[cur] = i
-            cur = self._raw_mul(cur, gen)
+            cur = times_gen(cur)
         # 1 + g^n changes only the constant digit of g^n; -1 = g^(m/2).
         zero = 2 * m
         zech = [0] * m
@@ -637,11 +684,15 @@ def _require_monic(f: Poly) -> None:
         raise InputError("polynomial must have degree >= 1")
 
 
-# Polynomials proven irreducible in this process: every positive verdict of
-# is_irreducible (so every output of monic_irreducibles) and every factor
-# that factorize returns.  Reducible verdicts are never kept, since
-# monic_irreducibles alone may test MAX_ENUMERATION_SPACE candidates.
+# Polynomials proven irreducible in this process: every output of
+# monic_irreducibles (each is built as a minimal polynomial), every positive
+# verdict of is_irreducible and every factor that factorize returns.
+# Reducible verdicts are never kept: the set only ever answers "irreducible".
 _PROVEN_IRREDUCIBLE: set[Poly] = set()
+
+# Root order of every polynomial listed by monic_irreducibles, which knows it
+# from the exponent of the root it was built from; root_order reads it first.
+_ROOT_ORDERS: dict[Poly, int] = {}
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -794,19 +845,105 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree d, sorted lexicographically."""
+    """All monic irreducibles of degree d, sorted lexicographically.
+
+    Each one other than x is the minimal polynomial of g^e, g the table
+    generator of F_Q = F_{q^d}, taken once per Frobenius orbit
+    {e q^j mod (Q - 1)} of size d: the product of x - g^(e q^j) over the
+    orbit, expanded with F_Q's log tables.  The coefficients lie in the
+    subfield F_q and go back to ``field``'s encoding through
+    :func:`_subfield_codes`.  The roots have order (Q - 1) / gcd(e, Q - 1),
+    which is recorded for :func:`root_order`; every output is recorded as
+    proven irreducible.  Needs Q <= MAX_FIELD_ORDER.
+    """
     if d < 1:
         raise InputError("degree must be positive")
-    if field.q**d > MAX_ENUMERATION_SPACE:
-        raise ScaleLimitError(f"cannot scan {field.q}^{d} polynomials")
-    out = []
-    for tail in itertools.product(range(field.q), repeat=d):
-        if d > 1 and tail[0] == 0:
-            continue
-        cand = Poly(field, tail + (1,))
-        if is_irreducible(cand):
-            out.append(cand)
+    q = field.q
+    if d >= MAX_FIELD_ORDER.bit_length() or q**d > MAX_FIELD_ORDER:
+        raise ScaleLimitError(f"field order {q}^{d} exceeds {MAX_FIELD_ORDER}")
+    order = q**d - 1
+    found: list[tuple[tuple[int, ...], int]] = []
+    if d == 1:  # orbits of one element, and F_Q is the field itself
+        g = field.multiplicative_generator()
+        root = 1
+        for e in range(order):
+            found.append(((field.neg(root), 1), order // int_gcd(e, order)))
+            root = field.mul(root, g)
+    else:
+        big = field_make(field.p, field.k * d)
+        exp, log, zech = big._tables()
+        code = _subfield_codes(field, big)
+        half = order // 2
+        seen = bytearray(order)
+        for e in range(order):
+            if seen[e]:
+                continue
+            orbit = []
+            cur = e
+            while not seen[cur]:
+                seen[cur] = 1
+                orbit.append(cur)
+                cur = cur * q % order
+            if len(orbit) < d:
+                continue  # a root of a lower degree
+            coeffs = [1]  # times x + (-g^l) for each l; -1 = g^half
+            for l in orbit:
+                nl = (l + half) % order
+                new = [0] + coeffs
+                for j, v in enumerate(coeffs):
+                    if v:
+                        t = log[v] + nl
+                        o = new[j]
+                        if o:
+                            lo = log[o]
+                            new[j] = exp[lo + zech[t - lo]]
+                        else:
+                            new[j] = exp[t]
+                coeffs = new
+            found.append((tuple(code[c] for c in coeffs), order // int_gcd(e, order)))
+    found.sort()
+    out = [Poly(field, (0, 1))] if d == 1 else []
+    for coeffs, t in found:
+        f = Poly(field, coeffs)
+        _ROOT_ORDERS[f] = t
+        out.append(f)
+    _PROVEN_IRREDUCIBLE.update(out)
     return tuple(out)
+
+
+def _subfield_codes(field: Field, big: Field) -> dict[int, int]:
+    """``field``'s code of each element of its copy inside ``big``, keyed by
+    ``big``'s code.
+
+    F_p is encoded alike in every field.  For F_q with q = p^k, k > 1, the
+    copy is spanned by the powers of a root of ``field``'s modulus, the
+    first found among the elements of order dividing q - 1.
+    """
+    powers = [1]
+    if field.k > 1:
+        exp = big._tables()[0]
+        step = (big.q - 1) // (field.q - 1)
+        modulus = field.modulus_coeffs
+        for j in range(field.q - 1):
+            r = exp[j * step]
+            value = 0
+            for c in reversed(modulus):
+                value = big.add(big.mul(value, r), c)
+            if not value:
+                break
+        else:
+            raise RuntimeError("no root of the modulus in the extension")  # unreachable
+        for _ in range(field.k - 1):
+            powers.append(big.mul(powers[-1], r))
+    codes = {}
+    for a in range(field.q):
+        image = 0
+        for digit, r in zip(field.digits(a), powers):
+            if digit:
+                image = big.add(image, big.mul(digit, r))
+        codes[image] = a
+    assert len(codes) == field.q, "the subfield embedding is not injective"
+    return codes
 
 
 def substitute_power(f: Poly, m: int) -> Poly:
@@ -854,6 +991,9 @@ def root_order(f: Poly) -> int:
     q^deg(f) - 1 and deg(f) is the multiplicative order of q mod t.
     """
     _require_monic(f)
+    t = _ROOT_ORDERS.get(f)
+    if t is not None:
+        return t
     if f.constant_term() == 0:
         raise InputError("x has no root order")
     if not is_irreducible(f):

@@ -3,6 +3,8 @@ characteristic polynomials.  Everything is exact and desk-scale."""
 
 from __future__ import annotations
 
+import operator
+
 from .ffpoly import Field, Poly
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -20,7 +22,7 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
         p = field.p
         bt = list(zip(*b))
         return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
+            tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a
         )
     add, mul = field.add, field.mul
     out = []

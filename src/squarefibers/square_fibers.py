@@ -15,8 +15,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .ffpoly import Poly, conj_reciprocal, minimal_polynomial_of_power, reciprocal
+from .ffpoly import (
+    Poly,
+    conj_reciprocal,
+    minimal_polynomial_of_power,
+    reciprocal,
+    root_order,
+)
 from .gl_classes import (
     ClassData,
     centralizer_order,
@@ -26,7 +33,7 @@ from .gl_classes import (
     make_class_data,
 )
 from .limits import MAX_ROOT_CLASS_COUNT, InputError, ScaleLimitError
-from .partitions import Partition, halve_multiplicities
+from .partitions import Partition, gamma_exponent, halve_multiplicities
 from .power_poly import (
     ReciprocalFamily,
     SkewTwoPower,
@@ -189,8 +196,65 @@ def square_root_classes(data: ClassData) -> SquareRootClassList:
 
 
 def count_square_roots(data: ClassData) -> int:
-    """Exact fiber size of the square map at any element of the class."""
-    return square_root_classes(data).count
+    """Exact fiber size of the square map at any element of the class.
+
+    The product over the entries (f, lam) of :func:`_block_value` at
+    (q^deg f, lam), with f two-power when its roots are squares in
+    F_{q^deg f}, that is when their order divides (q^deg f - 1) / 2.  The
+    root classes that :func:`square_root_classes` lists, and the
+    factorization that :func:`has_square_root_gl` reads, are not used.
+    """
+    q = data.field.q
+    total = 1
+    for f, lam in data.entries:
+        qd = q**f.degree
+        total *= _block_value(qd, lam.pairs, (qd - 1) // 2 % root_order(f) == 0)
+        if not total:
+            break
+    return total
+
+
+def _centralizer_block(qd: int, pairs) -> int:
+    """|Z_{GL}(u)| for u of a single degree-d entry with partition ``pairs``
+    over F_q, qd = q^d: qd^gamma(lam) times |GL_m(qd)| per multiplicity m.
+    The empty partition gives 1."""
+    if not pairs:
+        return 1
+    out = qd ** gamma_exponent(Partition(pairs), 1)
+    for _, m in pairs:
+        out *= gl_order(m, qd)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _block_value(qd: int, pairs: tuple[tuple[int, int], ...], two_power: bool) -> int:
+    """The factor of an entry (f, lam) in the fiber, qd = q^deg f.
+
+    A two-power f has f(x^2) = f1 f2, and the roots put a part of each
+    multiplicity on f1 and the rest on f2: the sum over the splits v of
+    |Z_qd(lam)| / (|Z_qd(v)| |Z_qd(lam - v)|).  A skew f has f(x^2)
+    irreducible of degree 2 deg f, and its one root entry carries lam with
+    halved multiplicities: |Z_qd(lam)| / |Z_{qd^2}(lam halved)| when every
+    multiplicity is even, else 0.
+    """
+    whole = _centralizer_block(qd, pairs)
+    if not two_power:
+        if any(m % 2 for _, m in pairs):
+            return 0
+        halved = tuple((a, m // 2) for a, m in pairs)
+        value, rem = divmod(whole, _centralizer_block(qd * qd, halved))
+        assert not rem, "skew root centralizer does not divide the block centralizer"
+        return value
+    total = 0
+    for vec in itertools.product(*(range(m + 1) for _, m in pairs)):
+        first = tuple((a, v) for (a, _), v in zip(pairs, vec) if v)
+        second = tuple((a, m - v) for (a, m), v in zip(pairs, vec) if m - v)
+        value, rem = divmod(
+            whole, _centralizer_block(qd, first) * _centralizer_block(qd, second)
+        )
+        assert not rem, "root centralizer does not divide the block centralizer"
+        total += value
+    return total
 
 
 def closed_form_count(data: ClassData) -> int:

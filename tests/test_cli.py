@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from squarefibers.cli import run
+from squarefibers.gl_classes import class_count
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -157,6 +158,17 @@ def test_audit_squares_gl_with_oracle():
     assert "(2,1)->1^2" in flagged_subjects  # identity
     assert "(1,1)->1^2" in flagged_subjects  # minus identity
     assert env["warnings"]
+
+
+def test_audit_squares_gl3_over_f25():
+    # about 2 s on a 2-vCPU Xeon; every class compares the factorization kind
+    # (existence predicate) with the root-order kind (block-product count)
+    env = invoke_json(["audit-squares", "--n", "3", "--q", "25"])
+    records = env["payload"]["records"]
+    assert len(records) == class_count(3, 25)
+    assert not any(
+        "existence predicate disagrees" in m for r in records for m in r["mismatches"]
+    )
 
 
 def test_audit_squares_sp_flags_minus_identity():

@@ -2,6 +2,8 @@
 against trial division, and randomized properties."""
 
 import itertools
+import math
+import time
 
 import pytest
 import sympy
@@ -24,7 +26,14 @@ from squarefibers.ffpoly import (
     root_order,
     substitute_power,
 )
-from squarefibers.limits import InputError, ScaleLimitError
+from squarefibers.gl_classes import class_count
+from squarefibers.limits import (
+    MAX_CLASS_COUNT,
+    MAX_FIELD_ORDER,
+    InputError,
+    ScaleLimitError,
+)
+from squarefibers.numtheory import factorint
 
 
 # -- fields ------------------------------------------------------------------
@@ -72,6 +81,14 @@ def test_field_arithmetic_axioms_spotwise(q):
         for b in elems[: min(q, 12)]:
             assert F.mul(a, b) == F.mul(b, a)
             assert F.add(a, b) == F.add(b, a)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (3, 7), (7, 4), (101, 2)])
+def test_chunked_product_equals_the_schoolbook_product(p, k):
+    F = field_make(p, k)
+    for c in (1, p, F.q - 1, F.q // 2 + 1):
+        times = F._times(c)
+        assert all(times(a) == F._raw_mul(a, c) for a in range(F.q))
 
 
 def test_frobenius_is_order_two_on_f9(F9):
@@ -168,6 +185,92 @@ def test_factorize_equals_trial_division_exhaustive(q, max_deg, monkeypatch):
                 for _ in range(m):
                     check = check * g
             assert check == f
+
+
+def _ben_or_scan(field, d):
+    """Every monic polynomial of degree d, in coefficient order, that Ben-Or's
+    test finds irreducible (x included for d = 1): the reference list."""
+    out = []
+    for tail in itertools.product(range(field.q), repeat=d):
+        if d > 1 and tail[0] == 0:
+            continue
+        cand = Poly(field, tail + (1,))
+        if is_irreducible(cand):
+            out.append(cand)
+    return tuple(out)
+
+
+# Every listed field, with each degree d up to q^d <= LISTED_ORDER.
+LISTED_FIELDS = (3, 5, 7, 9, 25, 27, 49, 125)
+LISTED_ORDER = 20000
+
+
+def _listed_degrees(q):
+    d = 1
+    while q**d <= LISTED_ORDER:
+        yield d
+        d += 1
+
+
+@pytest.mark.parametrize("q", LISTED_FIELDS)
+def test_monic_irreducibles_equal_the_ben_or_scan(q, monkeypatch):
+    field = field_from_order(q)
+    listed = {d: monic_irreducibles(field, d) for d in _listed_degrees(q)}
+    # with an empty proven set, every verdict of the scan runs Ben-Or
+    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
+    for d, polys in listed.items():
+        assert polys == _ben_or_scan(field, d), (q, d)
+
+
+@pytest.mark.parametrize("q", LISTED_FIELDS)
+def test_listed_root_orders_equal_the_pow_mod_route(q, monkeypatch):
+    field = field_from_order(q)
+    listed = [f for d in _listed_degrees(q) for f in monic_irreducibles(field, d)]
+    recorded = dict(ffpoly._ROOT_ORDERS)
+    monkeypatch.setattr(ffpoly, "_ROOT_ORDERS", {})
+    for f in listed:
+        if f.constant_term():
+            assert root_order.__wrapped__(f) == recorded[f], f
+
+
+@pytest.mark.parametrize("q", LISTED_FIELDS)
+def test_root_order_kind_equals_the_factorization_kind(q):
+    # the roots are squares in F_{q^d} exactly when f(x^2) splits
+    field = field_from_order(q)
+    for d in _listed_degrees(q):
+        half = (q**d - 1) // 2
+        for f in monic_irreducibles(field, d):
+            if f.constant_term():
+                by_order = half % root_order(f) == 0
+                by_factors = isinstance(power_poly.classify2(f), power_poly.TwoPower)
+                assert by_order == by_factors, f
+
+
+def test_every_allowed_gl_size_has_its_polynomial_lists():
+    # GL_n(q) lists the irreducibles of every degree d <= n, which needs
+    # q^n <= MAX_FIELD_ORDER.  Class counts grow with n (a fixed point added to
+    # a class gives a class one size up), so the first n past the field bound
+    # must be past the class bound.
+    root = math.isqrt(MAX_FIELD_ORDER)
+    for q in range(3, root + 1, 2):
+        if len(factorint(q)) != 1:
+            continue
+        n = 2
+        while q**n <= MAX_FIELD_ORDER:
+            n += 1
+        assert class_count(n, q) > MAX_CLASS_COUNT, (n, q)
+    # past the square root that n is 2, and GL_2(q) has q^2 - 1 classes
+    q = next(q for q in range(root + 1, 2 * root, 2) if len(factorint(q)) == 1)
+    assert class_count(2, q) == q * q - 1 > MAX_CLASS_COUNT
+
+
+def test_monic_irreducibles_past_the_field_bound_raise_at_once(F3):
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimitError):
+        monic_irreducibles(F3, 13)  # 3^13 > MAX_FIELD_ORDER
+    with pytest.raises(ScaleLimitError):
+        monic_irreducibles(F3, 10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])

@@ -110,6 +110,15 @@ def test_count_square_roots_fixtures(F3):
     assert count_square_roots(_data(F3, ((1, 1), [(1, 3)]))) == 0
 
 
+@pytest.mark.parametrize(
+    "n,q",
+    [(2, 3), (3, 3), (4, 3), (5, 3), (2, 5), (3, 5), (4, 5), (2, 9), (3, 9), (2, 25), (3, 7)],
+)
+def test_block_product_equals_the_root_class_count(n, q):
+    for data in enumerate_classes(n, q):
+        assert count_square_roots(data) == square_root_classes(data).count, str(data)
+
+
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 3), (2, 5)])
 def test_mass_conservation(n, q):
     total = sum(
