@@ -177,19 +177,25 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     yield from rec(n, 0)
 
 
+def block_centralizer_order(qd: int, lam: Partition) -> int:
+    """The factor of one entry (f, lam) in a centralizer order, qd = q^deg f:
+    qd^gamma(lam) times |GL_m(qd)| for each multiplicity m (1 when lam is
+    empty)."""
+    if lam.is_empty():
+        return 1
+    out = qd ** gamma_exponent(lam, 1)
+    for _, m in lam.pairs:
+        out *= gl_order(m, qd)
+    return out
+
+
 def centralizer_order(data: ClassData) -> int:
-    """|Z_{GL_n(q)}(x)| = q^gamma * prod over entries and distinct parts of
-    |GL_{mult}(q^deg)|, with gamma summed per entry."""
+    """|Z_{GL_n(q)}(x)|, the product of the entries' block factors."""
     q = data.field.q
-    gamma = 0
-    prod = 1
+    out = 1
     for f, lam in data.entries:
-        d = f.degree
-        gamma += gamma_exponent(lam, d)
-        qd = q**d
-        for _, m in lam.pairs:
-            prod *= gl_order(m, qd)
-    return q**gamma * prod
+        out *= block_centralizer_order(q**f.degree, lam)
+    return out
 
 
 def class_size(data: ClassData) -> int:

@@ -26,6 +26,7 @@ from .ffpoly import (
 )
 from .gl_classes import (
     ClassData,
+    block_centralizer_order,
     centralizer_order,
     class_size,
     enumerate_classes,
@@ -33,7 +34,7 @@ from .gl_classes import (
     make_class_data,
 )
 from .limits import MAX_ROOT_CLASS_COUNT, InputError, ScaleLimitError
-from .partitions import Partition, gamma_exponent, halve_multiplicities
+from .partitions import Partition, halve_multiplicities
 from .power_poly import (
     ReciprocalFamily,
     SkewTwoPower,
@@ -208,26 +209,14 @@ def count_square_roots(data: ClassData) -> int:
     total = 1
     for f, lam in data.entries:
         qd = q**f.degree
-        total *= _block_value(qd, lam.pairs, (qd - 1) // 2 % root_order(f) == 0)
+        total *= _block_value(qd, lam, (qd - 1) // 2 % root_order(f) == 0)
         if not total:
             break
     return total
 
 
-def _centralizer_block(qd: int, pairs) -> int:
-    """|Z_{GL}(u)| for u of a single degree-d entry with partition ``pairs``
-    over F_q, qd = q^d: qd^gamma(lam) times |GL_m(qd)| per multiplicity m.
-    The empty partition gives 1."""
-    if not pairs:
-        return 1
-    out = qd ** gamma_exponent(Partition(pairs), 1)
-    for _, m in pairs:
-        out *= gl_order(m, qd)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _block_value(qd: int, pairs: tuple[tuple[int, int], ...], two_power: bool) -> int:
+def _block_value(qd: int, lam: Partition, two_power: bool) -> int:
     """The factor of an entry (f, lam) in the fiber, qd = q^deg f.
 
     A two-power f has f(x^2) = f1 f2, and the roots put a part of each
@@ -237,20 +226,20 @@ def _block_value(qd: int, pairs: tuple[tuple[int, int], ...], two_power: bool) -
     halved multiplicities: |Z_qd(lam)| / |Z_{qd^2}(lam halved)| when every
     multiplicity is even, else 0.
     """
-    whole = _centralizer_block(qd, pairs)
+    whole = block_centralizer_order(qd, lam)
     if not two_power:
-        if any(m % 2 for _, m in pairs):
+        if not lam.all_multiplicities_even():
             return 0
-        halved = tuple((a, m // 2) for a, m in pairs)
-        value, rem = divmod(whole, _centralizer_block(qd * qd, halved))
+        root = block_centralizer_order(qd * qd, halve_multiplicities(lam))
+        value, rem = divmod(whole, root)
         assert not rem, "skew root centralizer does not divide the block centralizer"
         return value
     total = 0
-    for vec in itertools.product(*(range(m + 1) for _, m in pairs)):
-        first = tuple((a, v) for (a, _), v in zip(pairs, vec) if v)
-        second = tuple((a, m - v) for (a, m), v in zip(pairs, vec) if m - v)
+    for vec in itertools.product(*(range(m + 1) for _, m in lam.pairs)):
+        first = Partition(tuple((a, v) for (a, _), v in zip(lam.pairs, vec) if v))
+        second = Partition(tuple((a, m - v) for (a, m), v in zip(lam.pairs, vec) if m - v))
         value, rem = divmod(
-            whole, _centralizer_block(qd, first) * _centralizer_block(qd, second)
+            whole, block_centralizer_order(qd, first) * block_centralizer_order(qd, second)
         )
         assert not rem, "root centralizer does not divide the block centralizer"
         total += value
