@@ -938,9 +938,9 @@ def _subfield_codes(field: Field, big: Field) -> dict[int, int]:
     codes = {}
     for a in range(field.q):
         image = 0
-        for digit, r in zip(field.digits(a), powers):
+        for digit, power in zip(field.digits(a), powers):
             if digit:
-                image = big.add(image, big.mul(digit, r))
+                image = big.add(image, big.mul(digit, power))
         codes[image] = a
     assert len(codes) == field.q, "the subfield embedding is not injective"
     return codes

@@ -161,7 +161,7 @@ def test_audit_squares_gl_with_oracle():
 
 
 def test_audit_squares_gl3_over_f25():
-    # about 2 s on a 2-vCPU Xeon; every class compares the factorization kind
+    # about 2.5 s on a 2-vCPU Xeon; every class compares the factorization kind
     # (existence predicate) with the root-order kind (block-product count)
     env = invoke_json(["audit-squares", "--n", "3", "--q", "25"])
     records = env["payload"]["records"]
