@@ -2,12 +2,12 @@
 
 The forward map sends the class of g to the class of g^2; the backward
 direction enumerates the classes of square roots, whose centralizer
-indices sum to the fiber size, and, on a separate route, counts the fiber
-as a product of per-entry block values decided by root orders.  A verbatim evaluator of the
-published closed-form product is kept alongside purely so audits can
-compare it against the centralizer-index count and the brute-force
-oracle; the closed form is known to disagree and the audit output is
-the deliverable, not a bug.
+indices sum to the fiber size, and, on a separate route, counts the
+fiber as a product of per-entry block values decided by root orders.  A
+verbatim evaluator of the published closed-form product is kept
+alongside purely so audits can compare it against the centralizer-index
+count and the brute-force oracle; the closed form is known to disagree
+and the audit output is the deliverable, not a bug.
 """
 
 from __future__ import annotations
