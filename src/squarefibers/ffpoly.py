@@ -862,12 +862,18 @@ def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
     if d >= MAX_FIELD_ORDER.bit_length() or q**d > MAX_FIELD_ORDER:
         raise ScaleLimitError(f"field order {q}^{d} exceeds {MAX_FIELD_ORDER}")
     order = q**d - 1
-    found: list[tuple[tuple[int, ...], int]] = []
+    out = [Poly(field, (0, 1))] if d == 1 else []
+
+    def record(coeffs: tuple[int, ...], e: int) -> None:
+        f = Poly(field, coeffs)
+        _ROOT_ORDERS[f] = order // int_gcd(e, order)
+        out.append(f)
+
     if d == 1:  # orbits of one element, and F_Q is the field itself
         g = field.multiplicative_generator()
         root = 1
         for e in range(order):
-            found.append(((field.neg(root), 1), order // int_gcd(e, order)))
+            record((field.neg(root), 1), e)
             root = field.mul(root, g)
     else:
         big = field_make(field.p, field.k * d)
@@ -900,13 +906,8 @@ def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
                         else:
                             new[j] = exp[t]
                 coeffs = new
-            found.append((tuple(code[c] for c in coeffs), order // int_gcd(e, order)))
-    found.sort()
-    out = [Poly(field, (0, 1))] if d == 1 else []
-    for coeffs, t in found:
-        f = Poly(field, coeffs)
-        _ROOT_ORDERS[f] = t
-        out.append(f)
+            record(tuple(code[c] for c in coeffs), e)
+    out.sort(key=lambda f: f.coeffs)
     _PROVEN_IRREDUCIBLE.update(out)
     return tuple(out)
 
