@@ -2,23 +2,27 @@
 
 Groups are realized concretely: GL as all invertible matrices, U/Sp/O
 as the isometries of a fixed standard form.  Every element is listed and
-held as one integer code.  Multiplication by each of a few generators,
-on the right and on the left, is an index permutation built from a table
-over row or column codes, and conjugation by them sweeps out the
-conjugacy classes.  Squares and inverses are taken by matrices once per
-class and carried to the rest of it by the same conjugations: squaring
-fibers, conjugacy classes, reality and |s(2)| are computed element by
-element with one matrix product or inverse per class.  GL combinatorial
-data is recovered from explicit matrices, so every closed form elsewhere
-in the package can be audited against raw matrices.
+held as one integer code.  Multiplication by each of a few generators
+(two or three for the groups of the test matrix, taken from candidates
+spread through the table), on the right and on the left, is an index
+permutation built from a table over row or column codes, and conjugation
+by them sweeps out the conjugacy classes.  Squares and inverses are taken
+by matrices once per class and carried to the rest of it by the same
+conjugations: squaring fibers, conjugacy classes, reality and |s(2)| are
+computed element by element with one matrix product or inverse per
+class.  GL combinatorial data is recovered from explicit matrices, so
+every closed form elsewhere in the package can be audited against raw
+matrices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -256,10 +260,6 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
     q = field.q
     form = spec.form()
     sigma = field.conj if spec.is_hermitian() else (lambda x: x)
-    vectors = [v for v in itertools.product(range(q), repeat=n) if any(v)]
-    # a column v of the matrix contributes spread[v] * q^j to its code
-    row_weight = q**n
-    spread = [sum(x * row_weight**i for i, x in enumerate(v)) for v in vectors]
 
     def functional(u):
         # <u, w> = sum_t lam_t w_t with lam_t = sum_s sigma(u_s) F_st
@@ -280,12 +280,23 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
                 acc = field.add(acc, field.mul(x, y))
         return acc
 
-    # equal norms share one list, and a node filters each distinct list
-    # once per target, so equal lists stay shared further down
-    by_norm: dict[int, list[int]] = {}
-    for i, v in enumerate(vectors):
-        by_norm.setdefault(dot(functional(v), v), []).append(i)
-    cands = [by_norm.get(form[k][k], []) for k in range(n)]
+    # only the vectors of a norm some column needs are kept, in vector
+    # order; equal norms share one list, and a node filters each distinct
+    # list once per target, so equal lists stay shared further down
+    by_norm: dict[int, list[tuple[int, ...]]] = {form[k][k]: [] for k in range(n)}
+    for v in itertools.product(range(q), repeat=n):
+        if any(v):
+            kept = by_norm.get(dot(functional(v), v))
+            if kept is not None:
+                kept.append(v)
+    # below, a vector is its place in the union of those lists
+    vectors = sorted(itertools.chain(*by_norm.values()))
+    place = {v: i for i, v in enumerate(vectors)}
+    lists = {c: [place[v] for v in vs] for c, vs in by_norm.items()}
+    cands = [lists[form[k][k]] for k in range(n)]
+    # a column v of the matrix contributes spread[v] * q^j to its code
+    row_weight = q**n
+    spread = [sum(x * row_weight**i for i, x in enumerate(v)) for v in vectors]
     out = array("Q")
     if n == 1:  # one column: no pairing, and no q x q table (q may be 2^20)
         out.extend(spread[w] for w in cands[0])
@@ -295,17 +306,37 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
     # through flat q x q tables and per-coordinate columns of the vectors
     add_t = [field.add(a, b) for a in range(q) for b in range(q)]
     mul_t = [field.mul(a, b) for a in range(q) for b in range(q)]
-    coords = [[v[t] for v in vectors] for t in range(n)]
 
-    def pairings(lam, ws):
-        vals = [0] * len(ws)
-        for x, col in zip(lam, coords):
+    def columns(ws):
+        return [[vectors[w][t] for w in ws] for t in range(n)]
+
+    def pairings(u, cols):
+        # <u, w> for every w whose coordinates cols holds
+        vals = [0] * len(cols[0])
+        for x, col in zip(functional(vectors[u]), cols):
             if x:
                 row = mul_t[x * q : x * q + q]
-                vals = [add_t[a * q + row[col[w]]] for a, w in zip(vals, ws)]
+                vals = [add_t[a * q + row[y]] for a, y in zip(vals, col)]
         return vals
 
-    # extend(j, prefix, cands): cands[i] lists, in vectors order, the
+    if n == 2:  # each first column is picked once: pair it with one list
+        ws, target = cands[1], form[0][1]
+        cols = columns(ws)
+        for u in cands[0]:
+            out.extend(
+                spread[u] + spread[w] * q
+                for w, c in zip(ws, pairings(u, cols)) if c == target
+            )
+        return out
+
+    # n >= 3: a vector is picked under many prefixes, so its pairings with
+    # every vector of the union are computed once, on its first pick, and
+    # later lists are filtered by lookup (entries are below q <= 2^8, as
+    # q^n <= MAX_ENUMERATION_SPACE)
+    cols = columns(range(len(vectors)))
+    rows: list[bytes | None] = [None] * len(vectors)
+
+    # extend(j, prefix, cands): cands[i] lists, in vector order, the
     # vectors of the right norm for column j + i that pair correctly with
     # each of the j columns chosen so far; prefix codes those columns.
     def extend(j: int, prefix: int, cands: list[list[int]]):
@@ -314,16 +345,15 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
             out.extend(prefix + spread[w] * weight for w in cands[0])
             return
         for u in cands[0]:
-            lam = functional(vectors[u])
-            vals: dict[int, list[int]] = {}
+            row = rows[u]
+            if row is None:
+                row = rows[u] = bytes(pairings(u, cols))
             kept: dict[tuple[int, int], list[int]] = {}
             later = []
             for k, ws in enumerate(cands[1:], j + 1):
                 key = (id(ws), form[j][k])
                 if key not in kept:
-                    if id(ws) not in vals:
-                        vals[id(ws)] = pairings(lam, ws)
-                    kept[key] = [w for w, c in zip(ws, vals[id(ws)]) if c == form[j][k]]
+                    kept[key] = [w for w in ws if row[w] == key[1]]
                 later.append(kept[key])
             extend(j + 1, prefix + spread[u] * weight, later)
 
@@ -404,7 +434,8 @@ def _places(parts: list[list[int]]) -> tuple[array, list[array]]:
     (q^n may be far above |G|) and are still lists."""
     distinct = array("i", set().union(*parts))
     place = {c: i for i, c in enumerate(distinct)}
-    return distinct, [array("i", map(place.__getitem__, p)) for p in parts]
+    # an array fills faster from a list than from an iterator
+    return distinct, [array("i", list(map(place.__getitem__, p))) for p in parts]
 
 
 def _vector_table(field: Field, m: Matrix, weights: list[int], codes: array) -> list[int]:
@@ -443,10 +474,23 @@ def _check_member(spec: GroupSpec, field: Field, g: Matrix) -> None:
         raise InputError("an element does not preserve the form")
 
 
+def _generator_stride(total: int) -> int:
+    """The step between generator candidates: about 0.382 |G| (1/phi^2),
+    moved up to the next integer prime to |G|, so that the candidates
+    stride, 2 stride, ... (mod |G|) visit every index once.  Neighbours in
+    the table share all but their last column, and so mostly lie in the
+    subgroup already reached; candidates spread through it do not."""
+    stride = max(1, (382 * total + 500) // 1000)
+    while math.gcd(stride, total) != 1:
+        stride += 1
+    return stride
+
+
 def _build_walks(table: ElementTable) -> _Walks:
-    """Greedy generators from the end of the table, closed up from the
-    identity by right multiplication; then conjugation by each of them,
-    x -> g^-1 x g, and its orbits, scanned in index order.
+    """Generators taken greedily from candidates spread through the table
+    (see _generator_stride), closed up from the identity by right
+    multiplication; then conjugation by each of them, x -> g^-1 x g, and
+    its orbits, each from its least index on.
 
     This also proves that the codes are the group: every generator is
     checked to lie in it, every product of an element by a generator
@@ -465,36 +509,28 @@ def _build_walks(table: ElementTable) -> _Walks:
     # x g is a sum over the rows of x, h x over its columns
     row_weights = [row_weight**i for i in range(n)]
     col_weights = [q**j for j in range(n)]
-    rows = [[c // w % row_weight for c in codes] for w in row_weights]
-    row_codes, rows = _places(rows)
-    # a row code with its digit k moved to weight q^(kn): the row as a column
-    spread = [sum(r // q**k % q * row_weight**k for k in range(n)) for r in row_codes]
-    flipped = map(spread.__getitem__, rows[0])
-    for w, row in zip(col_weights[1:], rows[1:]):
-        flipped = map(operator.add, flipped, map(w.__mul__, map(spread.__getitem__, row)))
-    flipped = list(flipped)
-    cols = [[c // w % row_weight for c in flipped] for w in row_weights]
-    del spread, flipped
-    col_codes, cols = _places(cols)
+    row_codes, rows = _places([[c // w % row_weight for c in codes] for w in row_weights])
 
-    def perm(parts, weights, t) -> array:
+    def perm(parts, weights, t) -> list[int]:
         acc = map(t.__getitem__, parts[0])
         for w, part in zip(weights[1:], parts[1:]):
             tw = [c * w for c in t]
             acc = map(operator.add, acc, map(tw.__getitem__, part))
         try:
-            return array("i", map(index.__getitem__, acc))
+            return list(map(index.__getitem__, acc))
         except KeyError:
             raise InputError("a product of two elements is not an element") from None
 
     gens: list[Matrix] = []
-    right: list[array] = []
+    right: list[list[int]] = []
     reached = bytearray(total)
     reached[identity] = 1
     members = [identity]
-    for cand in range(total - 1, -1, -1):
+    stride = _generator_stride(total)
+    for step in range(1, total + 1):
         if len(members) == total:
             break
+        cand = step * stride % total
         if reached[cand]:
             continue
         g = table.matrix(cand)
@@ -518,32 +554,54 @@ def _build_walks(table: ElementTable) -> _Walks:
                         reached[y] = 1
                         nxt.append(y)
             frontier = nxt
+    # every index is a candidate, so every code was reached or chosen
+    assert len(members) == total
+    del members
 
+    # a row code with its digit k moved to weight q^(kn): the row as a column
+    spread = [sum(r // q**k % q * row_weight**k for k in range(n)) for r in row_codes]
+    flipped = map(spread.__getitem__, rows[0])
+    for w, row in zip(col_weights[1:], rows[1:]):
+        flipped = map(operator.add, flipped, map(w.__mul__, map(spread.__getitem__, row)))
+    flipped = list(flipped)
+    del rows, spread
+    cols = [[c // w % row_weight for c in flipped] for w in row_weights]
+    del flipped
+    col_codes, cols = _places(cols)
     conj = []
-    for g, r in zip(gens, right):
+    for a, g in enumerate(gens):  # each permutation is dropped once composed
         h = transpose(mat_inv(field, g))
         left = perm(cols, col_weights, _vector_table(field, h, row_weights, col_codes))
-        conj.append(array("i", map(left.__getitem__, r)))
+        conj.append(array("i", map(left.__getitem__, right[a])))
+        right[a] = left = None
+    del cols
     order = array("i")
     starts = array("i")
     parent = array("i", bytes(4 * total))
     via = bytearray(total)
-    for start in range(total):  # reached is all ones: cleared as classes form
-        if not reached[start]:
-            continue
+    steps = list(enumerate(conj))
+    # reached is all ones: cleared as classes form, each from its least
+    # position on, and grown one generator at a time
+    start = reached.find(1)
+    while start >= 0:
         reached[start] = 0
         parent[start] = -1
         starts.append(len(order))
         orbit = [start]
-        for x in orbit:  # grows while it is scanned
-            for a, c in enumerate(conj):
-                y = c[x]
-                if reached[y]:
-                    reached[y] = 0
-                    parent[y] = x
-                    via[y] = a
-                    orbit.append(y)
+        frontier = orbit
+        while frontier:
+            nxt = []
+            for a, c in steps:
+                for x, y in zip(frontier, map(c.__getitem__, frontier)):
+                    if reached[y]:
+                        reached[y] = 0
+                        parent[y] = x
+                        via[y] = a
+                        nxt.append(y)
+            orbit += nxt
+            frontier = nxt
         order.extend(orbit)
+        start = reached.find(1, start)
     return _Walks(conj, order, starts, parent, via)
 
 
@@ -660,6 +718,40 @@ def _cache_width(spec: GroupSpec) -> int:
     return max(1, (int(q ** (spec.n**2) - 1).bit_length() + 7) // 8)
 
 
+def _item_type(width: int) -> str | None:
+    """An unsigned array typecode whose items are width bytes, if any; the
+    size of "L" differs between platforms, so it is chosen by itemsize."""
+    for code in "BHIQL":
+        if array(code).itemsize == width:
+            return code
+    return None
+
+
+def _pack_codes(codes: array, width: int) -> bytes:
+    """The codes as little-endian integers of width bytes each."""
+    code = _item_type(width)
+    if code is None:
+        return b"".join(c.to_bytes(width, "little") for c in codes)
+    packed = array(code, codes)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack_codes(raw: bytes, width: int) -> array:
+    """Inverse of _pack_codes, for len(raw) a multiple of width."""
+    code = _item_type(width)
+    if code is None:
+        return array("Q", (
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ))
+    unpacked = array(code)
+    unpacked.frombytes(raw)
+    if sys.byteorder == "big":
+        unpacked.byteswap()
+    return unpacked if code == "Q" else array("Q", unpacked)
+
+
 def save_table(table: ElementTable, path: str) -> None:
     """Versioned binary cache: magic, header (kind, n, q, count), then the
     packed little-endian element codes at fixed width.  Written to a
@@ -671,7 +763,7 @@ def save_table(table: ElementTable, path: str) -> None:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(_CACHE_HEADER.pack(_KIND_CODES[spec.kind], spec.n, spec.q, len(table)))
-            fh.write(b"".join(c.to_bytes(width, "little") for c in table.codes))
+            fh.write(_pack_codes(table.codes, width))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -705,9 +797,7 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
                 f"cache {path} does not hold the {count} elements its header declares"
             )
         raw = fh.read()
-    codes = array("Q", (
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    ))
+    codes = _unpack_codes(raw, width)
     table = ElementTable(spec, spec.matrix_field(), codes)
     if len(table.index) != len(codes):
         raise InputError(f"cache {path} is corrupt")

@@ -205,13 +205,15 @@ class Field:
         binary slots of s bits, wide enough to hold a sum of r digits, so
         a product is r lookups and integer additions, and then one lookup
         per chunk of h slots to take each slot mod p and go back to base p.
-        h is the largest with 2^(h s) <= 2^12 lookup entries.
+        h is the largest below k with 2^(h s) <= 2^12 lookup entries: with
+        h = k one chunk covers the field, and building its products costs
+        one schoolbook product per element.
         """
         p, k = self.p, self.k
         if k == 1:
             return lambda a: a * c % p
         h = 1
-        while h < k and (h + 1) * (-(-k // (h + 1)) * (p - 1)).bit_length() <= 12:
+        while h + 1 < k and (h + 1) * (-(-k // (h + 1)) * (p - 1)).bit_length() <= 12:
             h += 1
         r = -(-k // h)
         s = (r * (p - 1)).bit_length()
@@ -668,13 +670,18 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     if m[-1] != 1:
         m = tuple(_scale(F, m, F.inv(m[-1])))
     encode, mulmod, decode = _residue_ring(F, m)
-    b = encode(base.coeffs)
+    return Poly(F, tuple(decode(_residue_pow(mulmod, encode(base.coeffs), e))))
+
+
+def _residue_pow(mulmod, b, e: int):
+    """b^e for e >= 1 in a residue ring, by left-to-right square and
+    multiply."""
     r = b
     for bit in bin(e)[3:]:
         r = mulmod(r, r)
         if bit == "1":
             r = mulmod(r, b)
-    return Poly(F, tuple(decode(r)))
+    return r
 
 
 def _require_monic(f: Poly) -> None:
@@ -752,20 +759,31 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
 
 def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     """Yield (product of all irreducible factors of degree d, d) for squarefree
-    monic f, in increasing d."""
-    q = f.field.q
-    x = poly_x(f.field)
+    monic f, in increasing d.
+
+    x^(q^d) is kept as a residue of ``_residue_ring(rest)`` from one degree
+    to the next; it is decoded for each gcd and encoded again only when
+    rest shrinks."""
+    F = f.field
+    q = F.q
     rest = f
-    w = x % rest
+    w = None  # x^(q^d) mod rest, encoded; None when rest has just changed
+    x_qd = [0, 1]  # the coefficients of x^(q^d), to encode modulo a new rest
     d = 0
     while rest.degree >= 2 * (d + 1):
+        if w is None:
+            encode, mulmod, decode = _residue_ring(F, rest.coeffs)
+            w = encode(x_qd)
         d += 1
-        w = pow_mod(w, q, rest)
-        h = gcd(w - x, rest)
+        w = _residue_pow(mulmod, w, q)
+        x_qd = decode(w)
+        c = x_qd + [0] * (2 - len(x_qd))
+        c[1] = F.sub(c[1], 1)
+        h = gcd(Poly(F, tuple(c)), rest)
         if h.degree > 0:
             yield h, d
             rest = (rest // h).monic()
-            w = w % rest
+            w = None
     if rest.degree > 0:
         yield rest, rest.degree
 
@@ -799,9 +817,6 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
             continue
         while True:
             r = Poly(F, tuple(rng.randrange(q) for _ in range(2 * d)) + (1,))
-            g = gcd(r, h)
-            if 0 < g.degree < h.degree:
-                break
             g = gcd(pow_mod(r, exponent, h) - one, h)
             if 0 < g.degree < h.degree:
                 break

@@ -42,19 +42,23 @@ class ClassData:
     entries: tuple[tuple[Poly, Partition], ...]
 
     def __post_init__(self):
+        # runs for every class a walk yields: one coeffs read per entry, and
+        # the interned field passes by identity before the (p, k) comparison
+        field = self.field
         if not self.entries:
             raise InputError("class data needs at least one entry")
         seen = None
         for f, lam in self.entries:
-            if f.field != self.field:
+            if f.field is not field and f.field != field:
                 raise InputError("entry polynomial over the wrong field")
-            if not f.is_monic() or f.degree < 1:
+            c = f.coeffs
+            if len(c) < 2 or c[-1] != 1:
                 raise InputError("class polynomials must be monic of degree >= 1")
-            if f.constant_term() == 0:
+            if c[0] == 0:
                 raise InputError("class polynomials must have nonzero constant term")
-            if lam.is_empty():
+            if not lam.pairs:
                 raise InputError("class partitions must be nonempty")
-            key = (f.degree, f.coeffs)
+            key = (len(c), c)
             if seen is not None and key <= seen:
                 raise InputError("entries must be strictly sorted by (degree, coeffs)")
             seen = key

@@ -1,6 +1,7 @@
 """Exhaustive matrix-group computations: order formulas, fibers, classes,
 reality, |s(2)| and data extraction from explicit matrices."""
 
+import tracemalloc
 from array import array
 
 import pytest
@@ -9,6 +10,10 @@ from squarefibers.brute_oracle import (
     ElementTable,
     GroupSpec,
     _cache_width,
+    _enumerate_isometries,
+    _pack_codes,
+    _unpack_codes,
+    _walks,
     build_table,
     class_data_of_element,
     conjugacy_classes,
@@ -378,6 +383,60 @@ def test_oracle_matches_the_per_element_reference(spec):
     assert square_fiber_counts(table) == fibers
     assert inverse_positions(table) == inverse
     assert conjugacy_classes(table) == classes
+
+
+# -- generators and the isometry search ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec("gl", 3, 3), GroupSpec("u", 3, 3), GroupSpec("sp", 4, 3)], ids=str
+)
+def test_walks_need_at_most_two_generators(spec):
+    # candidates spread through the table; from its end these took 4, 5 and 3
+    assert len(_walks(build_table(spec)).conj) <= 2
+
+
+# generators needed by cyclic and dihedral groups, where conjugation is
+# (nearly) trivial and every generator adds a pass over the group: no more
+# than when they were taken from the end of the table
+CYCLIC_GENERATOR_COUNTS = [
+    (GroupSpec("gl", 1, 1009), 3),
+    (GroupSpec("gl", 1, 30011), 2),
+    (GroupSpec("gl", 1, 65537), 3),
+    (GroupSpec("u", 1, 101), 3),
+    (GroupSpec("o+", 2, 101), 3),
+    (GroupSpec("o-", 2, 101), 4),
+]
+
+
+@pytest.mark.parametrize("spec,most", CYCLIC_GENERATOR_COUNTS, ids=str)
+def test_cyclic_and_dihedral_groups_need_no_more_generators(spec, most):
+    assert len(_walks(enumerate_group(spec)).conj) <= most
+
+
+def test_isometry_search_on_two_columns_keeps_no_pairing_rows():
+    # for n = 2 every first column is picked once, so nothing is memoized;
+    # rows of pairings with all q^n vectors would take hundreds of MB for
+    # q = 1009.  The bound is the peak of the search that listed every
+    # vector (7.9 MB), which this one stays far below.
+    spec = GroupSpec("o-", 2, 211)
+    tracemalloc.start()
+    try:
+        codes = _enumerate_isometries(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == expected_group_order(spec)
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8])
+def test_cache_codes_pack_and_unpack_at_every_width(width):
+    top = 2 ** (8 * width) - 1
+    codes = array("Q", [0, 1, 255, top // 3, top])
+    raw = _pack_codes(codes, width)
+    assert raw == b"".join(c.to_bytes(width, "little") for c in codes)
+    assert _unpack_codes(raw, width) == codes
 
 
 # -- the cache proves its elements are the group -------------------------------

@@ -3,13 +3,17 @@ byte-level determinism."""
 
 import hashlib
 import io
+import tempfile
 import time
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarefibers.cli import run
 from squarefibers.gl_classes import class_count
@@ -347,6 +351,47 @@ def test_oracle_cache_with_a_non_isometry_exits_2(tmp_path):
     raw[21 + 2 * 40 : 21 + 2 * 41] = (1 + 9 + 729).to_bytes(2, "little")
     cache.write_bytes(bytes(raw))
     assert _one_error_line(*invoke(argv))
+
+
+def _fibers_from_cache(kind, path):
+    return invoke(["oracle", "--kind", kind, "--n", "2", "--q", "3", "--report", "fibers",
+                   "--cache", path])
+
+
+@lru_cache(maxsize=None)
+def _clean_cache(kind):
+    """The cache bytes of GL_2(3) or U_2(3) and the stdout of reading them,
+    with the cache path (echoed in the command) as "CACHE"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/table.sqf"
+        assert _fibers_from_cache(kind, path)[0] == 0
+        raw = Path(path).read_bytes()
+        code, out, err = _fibers_from_cache(kind, path)
+    assert code == 0, err
+    return raw, out.replace(path, "CACHE")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["gl", "u"]), data=st.data())
+def test_oracle_cache_with_one_byte_changed(kind, data):
+    # header or code: a changed byte is refused with one line, and only the
+    # unchanged bytes give a report, the clean cache's
+    raw, clean_out = _clean_cache(kind)
+    position = data.draw(st.integers(0, len(raw) - 1), label="position")
+    value = data.draw(st.integers(0, 255), label="value")
+    changed = bytearray(raw)
+    changed[position] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/table.sqf"
+        Path(path).write_bytes(bytes(changed))
+        code, out, err = _fibers_from_cache(kind, path)
+    if changed == raw:
+        assert (code, out.replace(path, "CACHE")) == (0, clean_out)
+    else:
+        assert code in (2, 3)
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(("error: ", "refused: "))
+        assert "Traceback" not in err
 
 
 def test_oracle_cache_path_that_cannot_be_used_exits_2(tmp_path):

@@ -83,7 +83,9 @@ def test_field_arithmetic_axioms_spotwise(q):
             assert F.add(a, b) == F.add(b, a)
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (3, 7), (7, 4), (101, 2)])
+@pytest.mark.parametrize(
+    "p,k", [(3, 2), (5, 3), (3, 7), (7, 4), (101, 2), (13, 3), (5, 4)]
+)
 def test_chunked_product_equals_the_schoolbook_product(p, k):
     F = field_make(p, k)
     for c in (1, p, F.q - 1, F.q // 2 + 1):
