@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -417,6 +418,47 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
 # -- plumbing ----------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render_json(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, for envelopes.
+
+    A direct recursive writer: json.dumps with an indent always takes the
+    generator-based pure-Python encoder.  Strings are quoted by the same C
+    function json.dumps uses.  It takes str, int, bool, None, lists,
+    tuples and dicts with str keys; anything else raises TypeError.
+    ``indent`` is the newline and indentation of the enclosing level.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _render_json(value, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_render_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The six-verb parser, built on first use and shared by every run."""
@@ -496,25 +538,47 @@ _CSV_RENDERERS = {
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        payload, warnings = _HANDLERS[args.verb](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScaleLimitError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 3
-    if getattr(args, "format", "json") == "csv":
-        renderer = _CSV_RENDERERS.get(args.verb)
-        if renderer is None:
-            print(f"error: no CSV form for {args.verb}", file=sys.stderr)
+    with _unbounded_int_text():
+        args = build_parser().parse_args(argv)
+        try:
+            payload, warnings = _HANDLERS[args.verb](args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        sys.stdout.write(renderer(payload))
+        except ScaleLimitError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 3
+        if getattr(args, "format", "json") == "csv":
+            renderer = _CSV_RENDERERS.get(args.verb)
+            if renderer is None:
+                print(f"error: no CSV form for {args.verb}", file=sys.stderr)
+                return 2
+            sys.stdout.write(renderer(payload))
+            return 0
+        envelope = _envelope(argv, payload, warnings, args.timestamp)
+        sys.stdout.write(_render_json(envelope) + "\n")
         return 0
-    envelope = _envelope(argv, payload, warnings, args.timestamp)
-    sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
-    return 0
+
+
+@contextmanager
+def _unbounded_int_text():
+    """Lift the interpreter's bound on int <-> str conversions for one run.
+
+    CPython refuses more than 4300 digits by default (since 3.11 and
+    3.10.7), but exact counts pass it: the square-root count of a class
+    with a degree-3 entry of partition 1^64 over F_7 has 5,196 digits.
+    Every input fits in one argument string, so parsing stays bounded.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -1035,33 +1035,32 @@ def mult_order(s: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def minimal_polynomial_of_power(f: Poly, m: int) -> Poly:
-    """Minimal polynomial over F_q of beta^m, beta any root of irreducible f.
+    """Minimal polynomial over F_q of beta^2, beta any root of irreducible f.
 
-    Computed from the Frobenius orbit of beta^m inside F_q[x]/(f); the
-    result's degree divides deg f.
+    Only m = 2 is supported; any other power raises InputError.  Computed
+    by root squaring (Dandelin-Graeffe): for f monic of degree d,
+    (-1)^d f(x) f(-x) = G(x^2) with G = prod (y - beta_i^2) over the
+    roots beta_i of f.  G is a power of the minimal polynomial P of
+    beta^2, and [F_q(beta) : F_q(beta^2)] <= 2, so either G is squarefree
+    and P = G (degree d), or G = P^2 and P = gcd(G, G') (degree d/2).  For
+    odd d only the first case can occur, and the gcd is skipped.
     """
+    if m != 2:
+        raise InputError("minimal_polynomial_of_power supports only the square, m = 2")
     _require_monic(f)
     if not is_irreducible(f):
         raise InputError("minimal_polynomial_of_power requires an irreducible input")
     F = f.field
-    q = F.q
-    alpha = pow_mod(poly_x(F), m, f)
-    conjugates = [alpha]
-    cur = pow_mod(alpha, q, f)
-    while cur != alpha:
-        conjugates.append(cur)
-        cur = pow_mod(cur, q, f)
-    # expand prod (y - conj_i) with coefficients in F_q[x]/(f)
-    zero = Poly(F, ())
-    coeffs_k: list[Poly] = [poly_one(F)]
-    for c in conjugates:
-        nxt = [zero] * (len(coeffs_k) + 1)
-        for i, a in enumerate(coeffs_k):
-            nxt[i + 1] = nxt[i + 1] + a
-            nxt[i] = nxt[i] - (a * c) % f
-        coeffs_k = nxt
-    out = []
-    for a in coeffs_k:
-        assert a.degree <= 0, "minimal polynomial coefficient not in the base field"
-        out.append(a.constant_term())
-    return Poly(F, tuple(out))
+    a = f.coeffs
+    minus = [F.neg(c) if i % 2 else c for i, c in enumerate(a)]  # f(-x)
+    h = _mul(F, a, minus)
+    assert not any(h[1::2]), "f(x) f(-x) has an odd-degree term"
+    g = h[::2]
+    if f.degree % 2:
+        return Poly(F, tuple(F.neg(c) for c in g))
+    G = Poly(F, tuple(g))
+    P = gcd(G, G.derivative())
+    if P.is_one():
+        return G
+    assert P * P == G, "root-squared polynomial is neither squarefree nor a square"
+    return P

@@ -106,6 +106,10 @@ def square_class(data: ClassData) -> ClassData:
     the same polynomial merge by adding multiplicities.  In odd
     characteristic squaring is a bijection on unipotent parts, which is
     the deg-preserved case with P = P' = x - 1.
+
+    P' comes from :func:`minimal_polynomial_of_power` by root squaring
+    (one product P(x) P(-x) and one gcd); each entry's kind is then
+    checked independently against ``classify2``'s factorization of P'(x^2).
     """
     merged: dict[Poly, dict[int, int]] = {}
 

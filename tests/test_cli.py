@@ -6,6 +6,7 @@ import io
 import tempfile
 import time
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squarefibers.cli import run
+from squarefibers.cli import _render_json, run
+from squarefibers.ffpoly import field_from_order, monic_irreducibles
 from squarefibers.gl_classes import class_count
+from squarefibers.limits import InputError
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -549,3 +552,168 @@ def test_sqrt_count_root_class_count_under_the_limit_answers():
     code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "7", "--class", cls])
     assert code == 0, err
     assert len(json.loads(out)["payload"]["root_classes"]) == 21**3
+
+
+
+def test_sqrt_count_past_the_interpreter_digit_bound_answers():
+    # once a ValueError traceback: the count has 5,196 digits, past the
+    # 4300-digit default bound on int-to-str conversion
+    cls = json.dumps({"entries": [{"poly": "4,3,3,1", "partition": "1^64"},
+                                  {"poly": "3,6,1", "partition": "1^2"}]})
+    bound = sys.get_int_max_str_digits()
+    code, out, err = invoke(["sqrt-count", "--group", "gl", "--q", "7", "--class", cls])
+    assert code == 0, err
+    assert len(json.loads(out)["payload"]["count"]) == 5196
+    assert sys.get_int_max_str_digits() == bound
+
+# -- envelope rendering ---------------------------------------------------------
+
+# every code point, lone surrogates and control characters included
+_any_char = st.characters(exclude_categories=())
+_any_text = st.text(_any_char)
+_json_scalars = (
+    _any_text
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.booleans()
+    | st.none()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_any_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(_json_values)
+def test_render_json_equals_json_dumps_with_indent_2(obj):
+    assert _render_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_render_json_empty_containers_and_refusals():
+    obj = {"a": [], "b": {}, "c": (), "d": [{}, [[]]], "e": 10**100, "f": [True, False, None]}
+    assert _render_json(obj) == json.dumps(obj, indent=2)
+    for bad in (1.5, {1: "x"}, {None: 1}, {"s": {1, 2}}, [b"raw"], object()):
+        with pytest.raises(TypeError):
+            _render_json(bad)
+
+
+# -- fuzzed arguments of the class verbs ----------------------------------------
+
+# Structural choices come from a seeded Random drawn by hypothesis, so that
+# most examples get past the shape checks; junk text comes from hypothesis.
+_junk = st.text(_any_char, max_size=12)
+
+
+@lru_cache(maxsize=None)
+def _irreducible_texts(q):
+    field = field_from_order(q)
+    return [",".join(map(str, f.coeffs))
+            for d in range(1, 4 if q < 9 else 3) for f in monic_irreducibles(field, d)]
+
+
+def _poly_text(draw, rng, q):
+    """Mostly an irreducible of F_q (x among them), else a random list or junk."""
+    roll = rng.random()
+    if roll < 0.8:
+        return rng.choice(_irreducible_texts(q))
+    if roll < 0.95:
+        return ",".join(str(rng.randint(-2, q + 1)) for _ in range(rng.randint(1, 5)))
+    return draw(_junk)
+
+
+def _partition_text(draw, rng):
+    """Mostly one or two distinct parts of multiplicity 1 or 2, else repeated,
+    zero or negative parts, an over-weight partition or junk."""
+    roll = rng.random()
+    if roll < 0.8:
+        parts = rng.sample([1, 2, 3], rng.randint(1, 2))
+        return "+".join(f"{a}^{rng.randint(1, 2)}" for a in sorted(parts))
+    if roll < 0.9:
+        return "+".join(f"{rng.randint(-1, 3)}^{rng.randint(-1, 3)}" for _ in range(3))
+    if roll < 0.95:
+        return rng.choice(["1^64", "65", "1+", ""])
+    return draw(_junk)
+
+
+@st.composite
+def _class_text(draw, q):
+    """--class text: class objects whose entries are mostly well formed, and
+    a share of broken shapes and raw junk."""
+    rng = draw(st.randoms(use_true_random=True))
+    roll = rng.random()
+    if roll < 0.05:
+        return draw(_junk)
+    if roll < 0.1:
+        return json.dumps(rng.choice([[], {}, {"entries": None}, {"entries": "1,1"}, 3]))
+    entries = []
+    for _ in range(rng.choice([0, 1, 1, 1, 1, 2, 2, 2, 3, 3])):
+        entry = {"poly": _poly_text(draw, rng, q), "partition": _partition_text(draw, rng)}
+        if rng.random() < 0.03:
+            entry.pop(rng.choice(["poly", "partition"]))
+        if rng.random() < 0.03:
+            entry[rng.choice(["poly", "partition"])] = rng.choice([None, 1, [], {}])
+        entries.append(entry)
+    obj = {"entries": entries}
+    if rng.random() < 0.15:
+        obj["n"] = rng.choice([rng.randint(0, 12), rng.randint(0, 12), True, None, "2"])
+    if rng.random() < 0.15:
+        obj["q"] = rng.choice([str(q), str(q), q, "3", "3^2", "0", draw(_junk)])
+    return json.dumps(obj)
+
+
+@st.composite
+def _field_text(draw):
+    """A field order as text, mostly a valid one."""
+    rng = draw(st.randoms(use_true_random=True))
+    roll = rng.random()
+    if roll < 0.7:
+        return rng.choice(["3", "5", "7", "9", "25", "3^2", "27", "11", "13"])
+    if roll < 0.9:
+        return str(rng.randint(-5, 60))
+    return draw(_junk)
+
+
+# --m is an argparse int: other text exits 2 with argparse's usage message
+_exponent_text = st.one_of(
+    st.integers(-3, 50), st.integers(2**64 - 3, 2**64 + 3), st.integers(0, 10**6)
+).map(str)
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(("error: ", "refused: "))
+    assert "Traceback" not in err
+
+
+_FUZZ_FIELDS = [3, 5, 7, 9, 25]
+
+
+@settings(max_examples=150, deadline=5000)
+@given(group=st.sampled_from(["gl", "u", "sp"]), q=st.sampled_from(_FUZZ_FIELDS), data=st.data())
+def test_sqrt_count_with_fuzzed_class_data(group, q, data):
+    # the unitary group reads the class over F_{q^2}
+    cls = data.draw(_class_text(q * q if group == "u" else q), label="class")
+    _assert_clean_exit(*invoke(["sqrt-count", "--group", group, "--q", str(q), f"--class={cls}"]))
+
+
+@settings(max_examples=150, deadline=5000)
+@given(q=_field_text(), data=st.data())
+def test_classify_poly_with_fuzzed_arguments(q, data):
+    rng = data.draw(st.randoms(use_true_random=True), label="rng")
+    try:
+        poly = _poly_text(data.draw, rng, int(q))
+    except (ValueError, InputError):
+        poly = data.draw(_junk, label="poly")
+    argv = ["classify-poly", f"--q={q}", f"--poly={poly}"]
+    m = data.draw(st.none() | _exponent_text, label="m")
+    if m is not None:
+        argv.append(f"--m={m}")
+    _assert_clean_exit(*invoke(argv))

@@ -419,6 +419,54 @@ def test_minimal_polynomial_of_power(F3):
     assert minimal_polynomial_of_power(Poly(F3, (2, 1)), 2) == Poly(F3, (2, 1))
 
 
+def test_minimal_polynomial_of_power_refuses_reducible_input_and_other_powers(F3, F5):
+    with pytest.raises(InputError):
+        minimal_polynomial_of_power(Poly(F5, (4, 0, 1)), 2)  # x^2 - 1
+    with pytest.raises(InputError):
+        minimal_polynomial_of_power(Poly(F3, (1, 0, 0, 0, 1)), 2)  # (x^2+x+2)(x^2+2x+2)
+    with pytest.raises(InputError):
+        minimal_polynomial_of_power(Poly(F3, (2, 1, 1)), 3)
+
+
+def _frobenius_orbit_minimal_polynomial(f: Poly, m: int) -> Poly:
+    """Reference: prod (y - beta^(m q^j)) over the Frobenius orbit of beta^m,
+    expanded with coefficients in F_q[x]/(f)."""
+    F = f.field
+    alpha = ffpoly.pow_mod(ffpoly.poly_x(F), m, f)
+    conjugates = [alpha]
+    cur = ffpoly.pow_mod(alpha, F.q, f)
+    while cur != alpha:
+        conjugates.append(cur)
+        cur = ffpoly.pow_mod(cur, F.q, f)
+    zero = Poly(F, ())
+    coeffs = [poly_one(F)]
+    for c in conjugates:
+        nxt = [zero] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + a
+            nxt[i] = nxt[i] - (a * c) % f
+        coeffs = nxt
+    assert all(a.degree <= 0 for a in coeffs), "coefficient outside the base field"
+    return Poly(F, tuple(a.constant_term() for a in coeffs))
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 5), (7, 4), (9, 3), (25, 3)])
+def test_root_squaring_equals_the_frobenius_orbit_expansion(q, max_deg):
+    field = field_from_order(q)
+    kept = halved = 0
+    for d in range(1, max_deg + 1):
+        for f in monic_irreducibles(field, d):
+            if f.coeffs == (0, 1):
+                continue
+            got = minimal_polynomial_of_power.__wrapped__(f, 2)
+            assert got == _frobenius_orbit_minimal_polynomial(f, 2), f
+            if got.degree == d:
+                kept += 1
+            else:
+                halved += 1
+    assert kept and halved
+
+
 # -- proven irreducibles --------------------------------------------------------
 
 
