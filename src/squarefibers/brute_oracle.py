@@ -29,13 +29,7 @@ from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
 from .gl_classes import ClassData, gl_order, make_class_data, representative_matrix
-from .limits import (
-    HARD_GROUP_ORDER,
-    MAX_ENUMERATION_SPACE,
-    MAX_GROUP_ORDER,
-    InputError,
-    ScaleLimitError,
-)
+from .limits import MAX_ENUMERATION_SPACE, MAX_GROUP_ORDER, InputError, ScaleLimitError
 from .matrices import (
     Matrix,
     char_poly,
@@ -361,27 +355,26 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
     return out
 
 
-def _check_limits(spec: GroupSpec, ceiling: int) -> int:
-    """The group order, after refusing with ScaleLimitError a group past
-    ceiling, a column space past MAX_ENUMERATION_SPACE or matrix codes
-    that do not fit in the 64-bit code arrays."""
-    expected = expected_group_order(spec)
-    if expected > ceiling:
-        raise ScaleLimitError(f"group order {expected} exceeds the budget {ceiling}")
-    q = spec.matrix_field().q
-    if q**spec.n > MAX_ENUMERATION_SPACE:
+def _check_limits(spec: GroupSpec) -> int:
+    """The group order, after refusing with ScaleLimitError a column space
+    past MAX_ENUMERATION_SPACE (checked first, so that a huge n never
+    forms the order), a group past MAX_GROUP_ORDER or matrix codes that
+    do not fit in the 64-bit code arrays."""
+    q, n = spec.matrix_field().q, spec.n
+    # q >= 3, so n past the bit length of the bound overflows it
+    if n >= MAX_ENUMERATION_SPACE.bit_length() or q**n > MAX_ENUMERATION_SPACE:
         raise ScaleLimitError("column space too large to enumerate")
-    if q ** (spec.n**2) > _MAX_CODE:
+    expected = expected_group_order(spec)
+    if expected > MAX_GROUP_ORDER:
+        raise ScaleLimitError(f"group order {expected} exceeds the budget {MAX_GROUP_ORDER}")
+    if q ** (n * n) > _MAX_CODE:
         raise ScaleLimitError("matrix codes do not fit in 64 bits")
     return expected
 
 
-def enumerate_group(
-    spec: GroupSpec, max_order: int = MAX_GROUP_ORDER, override: bool = False
-) -> ElementTable:
-    """Build the full element table; rejects groups beyond the order budget
-    (hard ceiling 10^7 even with override=True)."""
-    expected = _check_limits(spec, HARD_GROUP_ORDER if override else max_order)
+def enumerate_group(spec: GroupSpec) -> ElementTable:
+    """Build the full element table; rejects groups beyond the order budget."""
+    expected = _check_limits(spec)
     field = spec.matrix_field()
     if spec.kind == "gl":
         codes = _enumerate_gl(field, spec.n)
@@ -718,38 +711,34 @@ def _cache_width(spec: GroupSpec) -> int:
     return max(1, (int(q ** (spec.n**2) - 1).bit_length() + 7) // 8)
 
 
-def _item_type(width: int) -> str | None:
-    """An unsigned array typecode whose items are width bytes, if any; the
-    size of "L" differs between platforms, so it is chosen by itemsize."""
-    for code in "BHIQL":
-        if array(code).itemsize == width:
-            return code
-    return None
-
-
 def _pack_codes(codes: array, width: int) -> bytes:
-    """The codes as little-endian integers of width bytes each."""
-    code = _item_type(width)
-    if code is None:
-        return b"".join(c.to_bytes(width, "little") for c in codes)
-    packed = array(code, codes)
+    """The codes as little-endian integers of width bytes each: bytes j
+    of each 8-byte code, for j < width, copied by one strided slice each.
+    OverflowError for a code that does not fit in width bytes."""
+    if width < 8 and codes and max(codes) >> 8 * width:
+        raise OverflowError(f"a code does not fit in {width} bytes")
+    wide = array("Q", codes)
     if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
+        wide.byteswap()
+    raw = wide.tobytes()
+    if width == 8:
+        return raw
+    out = bytearray(len(wide) * width)
+    for j in range(width):
+        out[j::width] = raw[j::8]
+    return bytes(out)
 
 
 def _unpack_codes(raw: bytes, width: int) -> array:
     """Inverse of _pack_codes, for len(raw) a multiple of width."""
-    code = _item_type(width)
-    if code is None:
-        return array("Q", (
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-        ))
-    unpacked = array(code)
-    unpacked.frombytes(raw)
+    wide = bytearray(len(raw) // width * 8)
+    for j in range(width):
+        wide[j::8] = raw[j::width]
+    codes = array("Q")
+    codes.frombytes(wide)
     if sys.byteorder == "big":
-        unpacked.byteswap()
-    return unpacked if code == "Q" else array("Q", unpacked)
+        codes.byteswap()
+    return codes
 
 
 def save_table(table: ElementTable, path: str) -> None:
@@ -776,9 +765,8 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
     the file must hold exactly the element count it declares, and the
     codes must be the group (checked through its generators, see
     _build_walks); InputError otherwise.  A group that enumerate_group
-    would refuse even with override=True is refused first, with
-    ScaleLimitError."""
-    expected = _check_limits(spec, HARD_GROUP_ORDER)
+    would refuse is refused first, with ScaleLimitError."""
+    expected = _check_limits(spec)
     width = _cache_width(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:

@@ -549,11 +549,7 @@ def run(argv: list[str]) -> int:
             print(f"refused: {exc}", file=sys.stderr)
             return 3
         if getattr(args, "format", "json") == "csv":
-            renderer = _CSV_RENDERERS.get(args.verb)
-            if renderer is None:
-                print(f"error: no CSV form for {args.verb}", file=sys.stderr)
-                return 2
-            sys.stdout.write(renderer(payload))
+            sys.stdout.write(_CSV_RENDERERS[args.verb](payload))
             return 0
         envelope = _envelope(argv, payload, warnings, args.timestamp)
         sys.stdout.write(_render_json(envelope) + "\n")

@@ -179,23 +179,10 @@ class Field:
     # -- internals ---------------------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
-        # schoolbook product of residue polynomials, reduced mod the modulus
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        prod = [c % p for c in prod]
-        mod = self.modulus_coeffs
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * mod[j]) % p
-        return self.from_digits(prod[: self.k])
+        """a * b through the base-p digits, reduced mod the modulus."""
+        base = field_make(self.p, 1)
+        prod = _mul(base, self.digits(a), self.digits(b))
+        return self.from_digits(_reduce(base, prod, self.modulus_coeffs))
 
     def _times(self, c: int):
         """a -> a * c, with no tables of logs.
@@ -250,19 +237,11 @@ class Field:
         q, p = self.q, self.p
         m = q - 1
         primes = list(factorint(m))
-
-        def raw_pow(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = self._raw_mul(r, a)
-                a = self._raw_mul(a, a)
-                e >>= 1
-            return r
-
+        encode, mulmod, decode = _residue_ring(field_make(p, 1), self.modulus_coeffs)
         gen = None
         for g in range(2, q):
-            if all(raw_pow(g, (q - 1) // r) != 1 for r in primes):
+            b = encode(self.digits(g))
+            if all(decode(_residue_pow(mulmod, b, m // r)) != [1] for r in primes):
                 gen = g
                 break
         assert gen is not None

@@ -21,7 +21,7 @@ from .ffpoly import (
     reciprocal,
     root_order,
 )
-from .limits import MAX_CLASS_COUNT, InputError, ScaleLimitError
+from .limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 from .numtheory import divisors, mobius
 from .partitions import Partition, gamma_exponent, partition_count, partitions_of
 
@@ -156,7 +156,10 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     if n < 1:
         raise InputError("dimension must be positive")
     field = field_from_order(q)
-    if class_count(n, q) > MAX_CLASS_COUNT:
+    # GL_n(q) has at least p(n) classes (one unipotent class per partition),
+    # and p(n) > p(MAX_PARTITION_WEIGHT) > MAX_CLASS_COUNT for any larger n:
+    # such an n is refused before its class count is formed
+    if n > MAX_PARTITION_WEIGHT or class_count(n, q) > MAX_CLASS_COUNT:
         raise ScaleLimitError(f"GL_{n}({q}) has more than {MAX_CLASS_COUNT} classes")
     polys: list[Poly] = []
     ends = [0]  # ends[r]: how many class polynomials have degree <= r

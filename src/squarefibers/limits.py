@@ -11,9 +11,9 @@ MAX_PARTITION_WEIGHT = 64
 MAX_CLASS_COUNT = 10**6
 MAX_ROOT_CLASS_COUNT = 10**4
 MAX_GROUP_ORDER = 10**6
-HARD_GROUP_ORDER = 10**7
 MAX_ENUMERATION_SPACE = 2**24
 MAX_PROFILE_EXPONENT = 2**64 - 1  # largest m of a Butler profile of f(x^m)
+MAX_PROFILE_ENTRIES = 10**4  # most entries (divisors of m1) of a Butler profile
 
 
 class InputError(ValueError):

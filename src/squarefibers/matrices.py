@@ -47,46 +47,38 @@ def conj_transpose(field: Field, a: Matrix) -> Matrix:
     return tuple(tuple(field.conj(x) for x in col) for col in zip(*a))
 
 
+def _row_reduce(field: Field, rows: list[list[int]], n_cols: int) -> int:
+    """Gauss-Jordan elimination of rows (lists, replaced in place) on their
+    first n_cols columns, pivots scaled to 1; returns the rank."""
+    rank = 0
+    for col in range(n_cols):
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        pivot = rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                c = row[col]
+                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, pivot)]
+        rank += 1
+    return rank
+
+
 def mat_inv(field: Field, a: Matrix) -> Matrix:
     """Gauss-Jordan inverse; raises on singular input."""
     n = len(a)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(aug[r], aug[col])]
+    if _row_reduce(field, aug, n) < n:
+        raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def mat_rank(field: Field, a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = field.inv(rows[row][col])
-        rows[row] = [field.mul(inv, x) for x in rows[row]]
-        for r in range(n_rows):
-            if r != row and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], rows[row])]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    return _row_reduce(field, [list(r) for r in a], len(a[0]) if a else 0)
 
 
 def eval_poly_at_matrix(field: Field, f: Poly, a: Matrix) -> Matrix:

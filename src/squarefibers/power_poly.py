@@ -24,7 +24,7 @@ from .ffpoly import (
     root_order,
     substitute_power,
 )
-from .limits import MAX_PROFILE_EXPONENT, InputError, ScaleLimitError
+from .limits import MAX_PROFILE_ENTRIES, MAX_PROFILE_EXPONENT, InputError, ScaleLimitError
 from .numtheory import divisors, factorint, totient
 
 
@@ -86,7 +86,8 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     Writes m = m1 * m2 with gcd(m1, t) = 1 and every prime of m2
     dividing t, where t is the root order of f.  For each divisor e of
     m1 the factors of degree M(e*m2*t; q) with roots of order e*m2*t
-    number deg(f)*m2*phi(e)/M(e*m2*t; q).
+    number deg(f)*m2*phi(e)/M(e*m2*t; q).  The number of divisors of m1
+    is checked against MAX_PROFILE_ENTRIES before any order is taken.
     """
     _require_irreducible_not_x(f)
     if m < 1:
@@ -97,12 +98,17 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     if int_gcd(m, q) != 1:
         raise InputError(f"gcd({m}, {q}) != 1")
     t = root_order(f)
-    m1, m2 = 1, 1
+    m1, m2, entry_count = 1, 1, 1
     for prime, exp in factorint(m).items():
         if t % prime == 0:
             m2 *= prime**exp
         else:
             m1 *= prime**exp
+            entry_count *= exp + 1
+    if entry_count > MAX_PROFILE_ENTRIES:
+        raise ScaleLimitError(
+            f"the profile of f(x^{m}) has {entry_count} entries, past {MAX_PROFILE_ENTRIES}"
+        )
     entries = []
     for e in divisors(m1):
         order = e * m2 * t
@@ -148,31 +154,29 @@ def is_self_conjugate(f: Poly) -> bool:
     return conj_reciprocal(f) == f
 
 
-def classify2_star(f: Poly) -> ReciprocalFamily:
-    """Trichotomy for self-reciprocal irreducibles.
+def _paired_family(f: Poly, pairing, label: str) -> ReciprocalFamily:
+    """Trichotomy for an f that the pairing fixes.
 
-    SKEW when f(x^2) is irreducible; POWER when f(x^2) has a
-    self-reciprocal irreducible factor of degree deg f; NEITHER when it
-    splits but neither factor is self-reciprocal.
+    SKEW when f(x^2) is irreducible; POWER when f(x^2) has a factor of
+    degree deg f that the pairing fixes; NEITHER when it splits but
+    neither factor is fixed.
     """
-    if not is_self_reciprocal(f):
-        raise InputError(f"{f} is not self-reciprocal")
+    if pairing(f) != f:
+        raise InputError(f"{f} is not {label}")
     cls = classify2(f)
     if isinstance(cls, SkewTwoPower):
         return ReciprocalFamily.SKEW
-    if is_self_reciprocal(cls.f1) or is_self_reciprocal(cls.f2):
+    if pairing(cls.f1) == cls.f1 or pairing(cls.f2) == cls.f2:
         return ReciprocalFamily.POWER
     return ReciprocalFamily.NEITHER
+
+
+def classify2_star(f: Poly) -> ReciprocalFamily:
+    """The trichotomy for self-reciprocal irreducibles."""
+    return _paired_family(f, reciprocal, "self-reciprocal")
 
 
 def classify2_tilde(f: Poly) -> ReciprocalFamily:
-    """Same trichotomy with the conjugate-reciprocal pairing; the field
+    """The trichotomy with the conjugate-reciprocal pairing; the field
     must have square order."""
-    if not is_self_conjugate(f):
-        raise InputError(f"{f} is not self-conjugate")
-    cls = classify2(f)
-    if isinstance(cls, SkewTwoPower):
-        return ReciprocalFamily.SKEW
-    if is_self_conjugate(cls.f1) or is_self_conjugate(cls.f2):
-        return ReciprocalFamily.POWER
-    return ReciprocalFamily.NEITHER
+    return _paired_family(f, conj_reciprocal, "self-conjugate")

@@ -139,16 +139,23 @@ def square_class(data: ClassData) -> ClassData:
     return make_class_data(data.field, entries)
 
 
+def _two_power_or_even(f: Poly, lam: Partition) -> bool:
+    """The GL clause of one entry: f two-power, or every multiplicity even."""
+    return isinstance(classify2(f), TwoPower) or lam.all_multiplicities_even()
+
+
+def _power_or_even_skew(family: ReciprocalFamily, lam: Partition) -> bool:
+    """The clause of one self-paired entry: power, or skew with every
+    multiplicity even."""
+    return family is ReciprocalFamily.POWER or (
+        family is ReciprocalFamily.SKEW and lam.all_multiplicities_even()
+    )
+
+
 def has_square_root_gl(data: ClassData) -> bool:
     """True iff every entry is a two-power polynomial, or a skew two-power
     polynomial whose partition has all multiplicities even."""
-    for f, lam in data.entries:
-        cls = classify2(f)
-        if isinstance(cls, TwoPower):
-            continue
-        if not lam.all_multiplicities_even():
-            return False
-    return True
+    return all(_two_power_or_even(f, lam) for f, lam in data.entries)
 
 
 def square_root_classes(data: ClassData) -> SquareRootClassList:
@@ -315,22 +322,12 @@ def has_square_root_unitary(data: ClassData) -> bool:
     if data.field.k % 2:
         raise InputError("unitary data must live over a square-order field")
     _check_closed(data, conj_reciprocal, "conjugate")
-    for f, lam in data.entries:
-        if conj_reciprocal(f) == f:
-            family = classify2_tilde(f)
-            if family is ReciprocalFamily.POWER:
-                continue
-            if family is ReciprocalFamily.SKEW and lam.all_multiplicities_even():
-                continue
-            return False
-        else:
-            cls = classify2(f)
-            if isinstance(cls, TwoPower):
-                continue
-            if lam.all_multiplicities_even():
-                continue
-            return False
-    return True
+    return all(
+        _power_or_even_skew(classify2_tilde(f), lam)
+        if conj_reciprocal(f) == f
+        else _two_power_or_even(f, lam)
+        for f, lam in data.entries
+    )
 
 
 def has_square_root_symplectic(data: ClassData) -> bool:
@@ -346,30 +343,17 @@ def has_square_root_symplectic(data: ClassData) -> bool:
     F = data.field
     x_minus_one = Poly(F, (F.neg(1), 1))
     x_plus_one = Poly(F, (1, 1))
-    rest = [(f, lam) for f, lam in data.entries if f not in (x_minus_one, x_plus_one)]
-    entmap = dict(rest)
-    for f, lam in rest:
-        partner = reciprocal(f)
-        if partner != f and entmap.get(partner) != lam:
-            raise InputError("data is not symplectic-consistent")
+    _check_closed(data, reciprocal, "symplectic")
     for f, lam in data.entries:
         if f == x_minus_one:
             continue
         if f == x_plus_one:
             return False
         if reciprocal(f) == f:
-            family = classify2_star(f)
-            if family is ReciprocalFamily.POWER:
-                continue
-            if family is ReciprocalFamily.SKEW and lam.all_multiplicities_even():
-                continue
+            if not _power_or_even_skew(classify2_star(f), lam):
+                return False
+        elif not _two_power_or_even(f, lam):
             return False
-        cls = classify2(f)
-        if isinstance(cls, TwoPower):
-            continue
-        if lam.all_multiplicities_even():
-            continue
-        return False
     return True
 
 

@@ -437,6 +437,9 @@ def test_cache_codes_pack_and_unpack_at_every_width(width):
     raw = _pack_codes(codes, width)
     assert raw == b"".join(c.to_bytes(width, "little") for c in codes)
     assert _unpack_codes(raw, width) == codes
+    if width < 8:  # one past the width would lose its top byte to the copy
+        with pytest.raises(OverflowError):
+            _pack_codes(array("Q", [0, top + 1, 1]), width)
 
 
 # -- the cache proves its elements are the group -------------------------------

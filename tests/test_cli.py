@@ -474,8 +474,8 @@ def test_oracle_on_a_large_cyclic_group_runs_in_linear_time(argv, expected, dige
 
 @pytest.mark.parametrize("kind", ["gl", "o0"])
 def test_oracle_cache_for_codes_past_64_bits_exits_3(tmp_path, kind):
-    # 149^9 > 2^64: nine-byte codes; GL_3(149) is also past the order
-    # budget, O_3(149) (6.6 million elements) is not
+    # 149^9 > 2^64: nine-byte codes; GL_3(149) and O_3(149) (6.6 million
+    # elements) are also past the order budget
     import struct
 
     cache = tmp_path / "big.sqf"
@@ -484,6 +484,52 @@ def test_oracle_cache_for_codes_past_64_bits_exits_3(tmp_path, kind):
     cache.write_bytes(b"SQF1" + header + b"\xff" * 9 * count)
     code, out, err = invoke(["oracle", "--kind", kind, "--n", "3", "--q", "149",
                              "--report", "real", "--cache", str(cache)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_oracle_cache_past_the_order_budget_exits_3_like_the_cacheless_run(tmp_path):
+    # GL_2(37) has 1,822,176 elements: the cache is refused for the group's
+    # order before its header is read, as the run without a cache is
+    import struct
+
+    cache = tmp_path / "gl2_37.sqf"
+    cache.write_bytes(b"SQF1" + struct.pack("<BIIQ", 0, 2, 37, 2) + b"\x00" * 2 * 2)
+    argv = ["oracle", "--kind", "gl", "--n", "2", "--q", "37", "--report", "real"]
+    for extra in ([], ["--cache", str(cache)]):
+        code, out, err = invoke(argv + extra)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+# Refused before anything of their size is formed: an n of 1000 or 3000
+# once ran for minutes (or formed and printed an order of about 480k
+# digits), and larger n would have run out of memory; the Butler profile
+# took 4 s and printed 2.6 MB, one entry for each of 23,040 divisors
+HUGE_SIZE_ARGVS = [
+    ["classes", "--n", "1000", "--q", "3"],
+    ["classes", "--n", str(10**9), "--q", "3"],
+    ["real-classes", "--n", "3000", "--q", "3"],
+    ["real-classes", "--n", "3000", "--q", "3", "--method", "gf-audit"],
+    ["real-classes", "--n", "3000", "--q", "3", "--method", "ms"],
+    ["audit-squares", "--n", "3000", "--q", "3"],
+    ["audit-squares", "--n", "3000", "--q", "3", "--oracle"],
+    ["audit-squares", "--group", "sp", "--n", "3000", "--q", "3"],
+    ["audit-squares", "--group", "u", "--n", str(10**9), "--q", "3"],
+    ["oracle", "--kind", "gl", "--n", "1000", "--q", "3", "--report", "real"],
+    ["oracle", "--kind", "u", "--n", "3000", "--q", "3", "--report", "s2"],
+    ["oracle", "--kind", "o-", "--n", str(10**12), "--q", "3", "--report", "fibers"],
+    ["classify-poly", "--q", "47", "--poly", "1,1", "--m", "18401055938125660800"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_SIZE_ARGVS, ids=" ".join)
+def test_huge_sizes_are_refused_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
@@ -717,3 +763,51 @@ def test_classify_poly_with_fuzzed_arguments(q, data):
     if m is not None:
         argv.append(f"--m={m}")
     _assert_clean_exit(*invoke(argv))
+
+
+# -- fuzzed arguments of the enumeration verbs ----------------------------------
+
+@st.composite
+def _enumeration_argv(draw):
+    """Mostly sizes that run over q in {3, 5, 9}; else n of 10^3 to 10^12,
+    which must be refused before anything of its size is formed (an order
+    with n factors, a q^n of n digits), n below 1 or a junk q."""
+    rng = draw(st.randoms(use_true_random=True))
+    roll = rng.random()
+    if roll < 0.65:
+        n = rng.randint(1, 3)
+    elif roll < 0.75:
+        n = rng.randint(-1, 0)
+    else:
+        n = rng.choice([10**3, 3000, rng.randint(10**3, 10**12), 10**12])
+    roll = rng.random()
+    if roll < 0.8:
+        q = rng.choice([3, 5, 9])
+    elif roll < 0.9:
+        q = rng.randint(-3, 30)
+    else:
+        q = rng.randint(2**20 - 3, 10**12)
+    verb = draw(st.sampled_from(["classes", "audit-squares", "real-classes", "oracle"]))
+    argv = [verb, f"--n={n}", f"--q={q}"]
+    if verb == "oracle":
+        argv += [f"--kind={draw(st.sampled_from(['gl', 'u', 'sp', 'o+', 'o-', 'o0']))}",
+                 f"--report={draw(st.sampled_from(['fibers', 'classes', 'real', 's2']))}"]
+    elif verb == "real-classes":
+        method = draw(st.sampled_from([None, "direct", "ms", "theorem", "gf-audit"]))
+        argv += [] if method is None else [f"--method={method}"]
+    else:
+        if verb == "audit-squares":
+            argv.append(f"--group={draw(st.sampled_from(['gl', 'u', 'sp']))}")
+            argv += ["--oracle"] if draw(st.booleans()) else []
+        argv.append(f"--format={draw(st.sampled_from(['json', 'csv']))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=5000)
+@given(argv=_enumeration_argv())
+def test_enumeration_verbs_with_fuzzed_arguments(argv):
+    code, out, err = invoke(argv)
+    if code == 0 and "--format=csv" in argv:
+        assert out and err == ""
+    else:
+        _assert_clean_exit(code, out, err)

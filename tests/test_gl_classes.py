@@ -25,9 +25,14 @@ from squarefibers.gl_classes import (
     make_class_data,
     representative_matrix,
 )
-from squarefibers.limits import InputError
+from squarefibers.limits import (
+    MAX_CLASS_COUNT,
+    MAX_PARTITION_WEIGHT,
+    InputError,
+    ScaleLimitError,
+)
 from squarefibers.matrices import matrix_order
-from squarefibers.partitions import Partition
+from squarefibers.partitions import Partition, partition_count
 
 
 def _data(field, *entries):
@@ -61,6 +66,17 @@ def test_enumerate_classes_depth_is_bounded_by_n():
     # GL_2(49) has 1224 class polynomials; a recursion frame per
     # polynomial overflowed the interpreter stack here
     assert sum(1 for _ in enumerate_classes(2, 49)) == class_count(2, 49)
+
+
+def test_class_count_bound_refuses_every_n_past_the_weight_bound():
+    # GL_n(q) has at least p(n) classes, one unipotent class per partition,
+    # and p(n) > p(MAX_PARTITION_WEIGHT) > MAX_CLASS_COUNT for larger n:
+    # that n is refused before class_count is formed
+    assert partition_count(MAX_PARTITION_WEIGHT) == 1_741_630 > MAX_CLASS_COUNT
+    assert class_count(MAX_PARTITION_WEIGHT, 3) > MAX_CLASS_COUNT
+    for n in (MAX_PARTITION_WEIGHT + 1, 10**12):
+        with pytest.raises(ScaleLimitError):
+            next(enumerate_classes(n, 3))
 
 
 def test_gl1_classes_are_the_nonzero_scalars(F3):

@@ -83,7 +83,7 @@ def test_s2_cardinality_examples():
 
 
 def test_ms_equals_direct():
-    for n, q in [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (3, 3), (2, 7)]:
+    for n, q in [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (3, 3), (2, 7), (3, 5), (3, 7)]:
         assert real_class_count_ms(n, q) == real_class_count_direct(n, q)
 
 

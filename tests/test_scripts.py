@@ -1,4 +1,4 @@
-"""Smoke tests of the two scripts under scripts/, each run as a program."""
+"""Smoke test of the audit script under scripts/, run as a program."""
 
 import os
 import subprocess
@@ -27,15 +27,3 @@ def test_run_audits_prints_its_summary():
         "12 audits, 36 flagged records "
         "(flags are findings about the printed formulas, not failures)"
     )
-
-
-def test_real_class_table_agrees_on_every_cell():
-    proc = _run_script("real_class_table.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "MISMATCH" not in proc.stdout
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["n", "q", "|GL_n(q)|", "classes", "real", "|s(2)|/|G|"]
-    assert len(rows) == 9  # n = 1..3 over q = 3, 5, 7
-    for row in rows:
-        n, q, order, classes, direct, ms = row.split()
-        assert direct == ms
