@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from squarefibers.cli import report_to_json
 from squarefibers.real_classes import audit_real_counts
 from squarefibers.square_fibers import (
     audit_existence,
@@ -52,21 +53,7 @@ def main() -> int:
         reports.append(audit_real_counts(n, q))
 
     if args.json:
-        out = [
-            {
-                "scope": r.scope,
-                "records": [
-                    {
-                        "subject": rec.subject,
-                        "values": dict(rec.values),
-                        "mismatches": list(rec.mismatches),
-                    }
-                    for rec in r.records
-                ],
-            }
-            for r in reports
-        ]
-        json.dump(out, sys.stdout, indent=2)
+        json.dump([report_to_json(r) for r in reports], sys.stdout, indent=2)
         print()
         return 0
 

@@ -29,7 +29,13 @@ from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
 from .gl_classes import ClassData, gl_order, make_class_data, representative_matrix
-from .limits import MAX_ENUMERATION_SPACE, MAX_GROUP_ORDER, InputError, ScaleLimitError
+from .limits import (
+    MAX_ENUMERATION_SPACE,
+    MAX_GROUP_ORDER,
+    InputError,
+    ScaleLimitError,
+    exceeds,
+)
 from .matrices import (
     Matrix,
     char_poly,
@@ -361,8 +367,7 @@ def _check_limits(spec: GroupSpec) -> int:
     forms the order), a group past MAX_GROUP_ORDER or matrix codes that
     do not fit in the 64-bit code arrays."""
     q, n = spec.matrix_field().q, spec.n
-    # q >= 3, so n past the bit length of the bound overflows it
-    if n >= MAX_ENUMERATION_SPACE.bit_length() or q**n > MAX_ENUMERATION_SPACE:
+    if exceeds(q, n, MAX_ENUMERATION_SPACE):
         raise ScaleLimitError("column space too large to enumerate")
     expected = expected_group_order(spec)
     if expected > MAX_GROUP_ORDER:
@@ -701,8 +706,7 @@ def class_data_of_element(field: Field, a: Matrix) -> ClassData:
 
 def representative_index(table: ElementTable, data: ClassData) -> int:
     """Index of the canonical class representative inside the table."""
-    rep = representative_matrix(data)
-    return table.index[_encode_matrix(table.field.q, rep)]
+    return table.position(representative_matrix(data))
 
 
 def _cache_width(spec: GroupSpec) -> int:

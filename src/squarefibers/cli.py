@@ -33,7 +33,7 @@ from .brute_oracle import (
     save_table,
     square_fiber_counts,
 )
-from .ffpoly import is_irreducible, substitute_power
+from .ffpoly import substitute_power
 from .formats import (
     class_data_from_json,
     class_data_to_json,
@@ -98,7 +98,8 @@ def _envelope(argv: list[str], payload: dict, warnings: list[str], stamp: bool) 
     }
 
 
-def _report_to_json(report: AuditReport) -> dict:
+def report_to_json(report: AuditReport) -> dict:
+    """The JSON form of an audit report, as the audit verbs print it."""
     return {
         "scope": report.scope,
         "records": [
@@ -140,12 +141,6 @@ def _family_text(family: ReciprocalFamily, star: bool) -> str:
 def _cmd_classify_poly(args) -> tuple[dict, list[str]]:
     field = field_from_text(args.q)
     f = poly_from_text(field, args.poly)
-    if not f.is_monic() or f.degree < 1:
-        raise InputError("polynomial must be monic of degree >= 1")
-    if f.constant_term() == 0:
-        raise InputError("x itself has no two-power classification")
-    if not is_irreducible(f):
-        raise InputError(f"{args.poly} is not irreducible over F_{field.q}")
     cls = classify2(f)
     payload = {
         "field": str(field.q),
@@ -283,7 +278,7 @@ def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
         report = audit_existence("sp", has_square_root_symplectic, args.n, args.q)
     else:
         report = audit_existence("u", has_square_root_unitary, args.n, args.q)
-    return _report_to_json(report), _report_warnings(report)
+    return report_to_json(report), _report_warnings(report)
 
 
 def _audit_csv(payload: dict) -> str:
@@ -355,7 +350,7 @@ def _cmd_real_classes(args) -> tuple[dict, list[str]]:
         ]
         return {"n": n, "q": str(q), "method": "gf-audit", "checks": checks}, warnings
     report = audit_real_counts(n, q)
-    return _report_to_json(report), _report_warnings(report)
+    return report_to_json(report), _report_warnings(report)
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:

@@ -33,6 +33,7 @@ from .limits import (
     MAX_POLY_DEGREE,
     InputError,
     ScaleLimitError,
+    exceeds,
 )
 from .numtheory import factorint, n_order
 
@@ -91,9 +92,6 @@ class Field:
         for i, d in enumerate(digits):
             enc += d * self._ppows[i]
         return enc
-
-    def elements(self):
-        return range(self.q)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,11 +192,10 @@ class Field:
         per chunk of h slots to take each slot mod p and go back to base p.
         h is the largest below k with 2^(h s) <= 2^12 lookup entries: with
         h = k one chunk covers the field, and building its products costs
-        one schoolbook product per element.
+        one schoolbook product per element.  Only extension fields (k > 1)
+        build such tables.
         """
         p, k = self.p, self.k
-        if k == 1:
-            return lambda a: a * c % p
         h = 1
         while h + 1 < k and (h + 1) * (-(-k // (h + 1)) * (p - 1)).bit_length() <= 12:
             h += 1
@@ -281,9 +278,7 @@ def field_make(p: int, k: int) -> Field:
         raise InputError("even characteristic is not supported")
     if p < 3:
         raise InputError(f"{p} is not prime")
-    # p >= 3, so k past the bit length of the bound overflows it: p**k is
-    # only formed when it is small
-    if k >= MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER:
+    if exceeds(p, k, MAX_FIELD_ORDER):
         raise ScaleLimitError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
     if list(factorint(p)) != [p]:
         raise InputError(f"{p} is not prime")
@@ -594,13 +589,6 @@ class Poly:
             else tuple((i * c) % F.p for i, c in enumerate(self.coeffs) if i),
         )
 
-    def evaluate(self, a: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, a), c)
-        return acc
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
@@ -668,6 +656,19 @@ def _require_monic(f: Poly) -> None:
         raise InputError("polynomial must be monic")
     if f.degree < 1:
         raise InputError("polynomial must have degree >= 1")
+
+
+def require_irreducible_not_x(f: Poly) -> None:
+    """Raise InputError unless f is a monic irreducible other than x."""
+    if not f.is_monic() or f.degree < 1:
+        problem = "is not monic of degree >= 1"
+    elif f.constant_term() == 0:
+        problem = "is divisible by x"
+    elif not is_irreducible(f):
+        problem = "is not irreducible"
+    else:
+        return
+    raise InputError(f"{f} over F_{f.field.q} {problem}")
 
 
 # Polynomials proven irreducible in this process: every output of
@@ -853,7 +854,7 @@ def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
     if d < 1:
         raise InputError("degree must be positive")
     q = field.q
-    if d >= MAX_FIELD_ORDER.bit_length() or q**d > MAX_FIELD_ORDER:
+    if exceeds(q, d, MAX_FIELD_ORDER):
         raise ScaleLimitError(f"field order {q}^{d} exceeds {MAX_FIELD_ORDER}")
     order = q**d - 1
     out = [Poly(field, (0, 1))] if d == 1 else []
@@ -963,19 +964,11 @@ def reciprocal(f: Poly) -> Poly:
 
 
 def conj_reciprocal(f: Poly) -> Poly:
-    """Conjugate reciprocal over a square-order field.
-
-    Applies the order-two automorphism coefficientwise and reverses:
-    the roots of the result are the conjugate-inverses of the roots of f.
-    """
+    """Conjugate reciprocal over a square-order field: the reciprocal of f
+    with the order-two automorphism applied coefficientwise, so the roots
+    of the result are the conjugate-inverses of the roots of f."""
     F = f.field
-    if F.k % 2:
-        raise InputError("conjugate reciprocal needs a square-order field")
-    if f.constant_term() == 0:
-        raise InputError("conjugate reciprocal requires a nonzero constant term")
-    cc = tuple(F.conj(c) for c in f.coeffs)
-    c0inv = F.inv(cc[0])
-    return Poly(F, tuple(F.mul(c0inv, c) for c in reversed(cc)))
+    return reciprocal(Poly(F, tuple(F.conj(c) for c in f.coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -985,14 +978,10 @@ def root_order(f: Poly) -> int:
     All roots are conjugate so they share one order t; t divides
     q^deg(f) - 1 and deg(f) is the multiplicative order of q mod t.
     """
-    _require_monic(f)
     t = _ROOT_ORDERS.get(f)
     if t is not None:
         return t
-    if f.constant_term() == 0:
-        raise InputError("x has no root order")
-    if not is_irreducible(f):
-        raise InputError("root_order requires an irreducible polynomial")
+    require_irreducible_not_x(f)
     q = f.field.q
     n = q**f.degree - 1
     t = n
@@ -1013,19 +1002,16 @@ def mult_order(s: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def minimal_polynomial_of_power(f: Poly, m: int) -> Poly:
+def minimal_polynomial_of_power(f: Poly) -> Poly:
     """Minimal polynomial over F_q of beta^2, beta any root of irreducible f.
 
-    Only m = 2 is supported; any other power raises InputError.  Computed
-    by root squaring (Dandelin-Graeffe): for f monic of degree d,
+    Computed by root squaring (Dandelin-Graeffe): for f monic of degree d,
     (-1)^d f(x) f(-x) = G(x^2) with G = prod (y - beta_i^2) over the
     roots beta_i of f.  G is a power of the minimal polynomial P of
     beta^2, and [F_q(beta) : F_q(beta^2)] <= 2, so either G is squarefree
     and P = G (degree d), or G = P^2 and P = gcd(G, G') (degree d/2).  For
     odd d only the first case can occur, and the gcd is skipped.
     """
-    if m != 2:
-        raise InputError("minimal_polynomial_of_power supports only the square, m = 2")
     _require_monic(f)
     if not is_irreducible(f):
         raise InputError("minimal_polynomial_of_power requires an irreducible input")

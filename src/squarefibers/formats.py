@@ -9,7 +9,14 @@ with every count rendered as a decimal string.
 
 from __future__ import annotations
 
-from .ffpoly import Field, Poly, field_from_order, field_make, is_irreducible, make_poly
+from .ffpoly import (
+    Field,
+    Poly,
+    field_from_order,
+    field_make,
+    make_poly,
+    require_irreducible_not_x,
+)
 from .gl_classes import ClassData, make_class_data
 from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 from .partitions import Partition
@@ -107,10 +114,7 @@ def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
     entries = []
     for item in obj["entries"]:
         f = poly_from_text(field, item["poly"])
-        if not f.is_monic() or f.degree < 1 or f.constant_term() == 0:
-            raise InputError(f"bad class polynomial {item['poly']!r}")
-        if not is_irreducible(f):
-            raise InputError(f"class polynomial {item['poly']!r} is not irreducible")
+        require_irreducible_not_x(f)
         entries.append((f, partition_from_text(item["partition"])))
     data = make_class_data(field, entries)
     if "n" in obj and declared_n != data.n:

@@ -190,7 +190,7 @@ def block_centralizer_order(qd: int, lam: Partition) -> int:
     empty)."""
     if lam.is_empty():
         return 1
-    out = qd ** gamma_exponent(lam, 1)
+    out = qd ** gamma_exponent(lam)
     for _, m in lam.pairs:
         out *= gl_order(m, qd)
     return out
@@ -280,12 +280,3 @@ def element_order_of_class(data: ClassData) -> int:
     while ppow < max_part:
         ppow *= p
     return semisimple * ppow
-
-
-def is_identity_class(data: ClassData) -> bool:
-    if len(data.entries) != 1:
-        return False
-    f, lam = data.entries[0]
-    neg_one = data.field.neg(1)
-    return f.coeffs == (neg_one, 1) and lam.pairs == ((1, data.n),)
-

@@ -16,6 +16,12 @@ MAX_PROFILE_EXPONENT = 2**64 - 1  # largest m of a Butler profile of f(x^m)
 MAX_PROFILE_ENTRIES = 10**4  # most entries (divisors of m1) of a Butler profile
 
 
+def exceeds(base: int, exp: int, bound: int) -> bool:
+    """base**exp > bound for base >= 2, without forming a power that the
+    bound could not hold: an exp past the bound's bit length overflows it."""
+    return exp >= bound.bit_length() or base**exp > bound
+
+
 class InputError(ValueError):
     """Malformed or mathematically invalid input (CLI exit code 2)."""
 

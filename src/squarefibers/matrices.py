@@ -133,14 +133,3 @@ def char_poly(field: Field, a: Matrix) -> Poly:
                 pm = pm - polys[m - 1 - i].scale(coef)
         polys.append(pm)
     return polys[n]
-
-
-def matrix_order(field: Field, a: Matrix, bound: int = 10**6) -> int:
-    """Multiplicative order by iterated squaring-free multiplication."""
-    ident = identity_matrix(len(a))
-    cur = a
-    for k in range(1, bound + 1):
-        if cur == ident:
-            return k
-        cur = mat_mul(field, cur, a)
-    raise RuntimeError("order exceeds bound")

@@ -39,25 +39,11 @@ class Partition:
     def max_part(self) -> int:
         return self.pairs[-1][0] if self.pairs else 0
 
-    def multiplicity_vector(self, upto: int | None = None) -> tuple[int, ...]:
-        n = upto if upto is not None else self.max_part()
+    def multiplicity_vector(self, n: int) -> tuple[int, ...]:
         out = [0] * n
         for a, m in self.pairs:
             out[a - 1] = m
         return tuple(out)
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram, back in multiplicity form."""
-        if not self.pairs:
-            return Partition(())
-        heights: dict[int, int] = {}
-        for i in range(1, self.max_part() + 1):
-            h = sum(m for a, m in self.pairs if a >= i)
-            heights[h] = heights.get(h, 0) + 1
-        return Partition(tuple(sorted(heights.items())))
-
-    def doubled(self) -> "Partition":
-        return Partition(tuple((a, 2 * m) for a, m in self.pairs))
 
     def all_multiplicities_even(self) -> bool:
         return all(m % 2 == 0 for _, m in self.pairs)
@@ -103,13 +89,14 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def gamma_exponent(lam: Partition, d: int) -> int:
-    """Power of q contributed by one polynomial block of a centralizer.
+def gamma_exponent(lam: Partition) -> int:
+    """Power of q^deg f contributed by one polynomial block (f, lam) of a
+    centralizer.
 
     With (a_j, m_j) the part/multiplicity pairs in increasing part order,
-    this is d * (2 * sum_{u<v} a_u m_u m_v + sum_j (a_j - 1) m_j^2);
-    equivalently d * (sum_i (lam'_i)^2 - sum_j m_j^2) for the conjugate
-    partition lam'.  Both forms are kept and tested against each other.
+    this is 2 * sum_{u<v} a_u m_u m_v + sum_j (a_j - 1) m_j^2;
+    equivalently sum_i (lam'_i)^2 - sum_j m_j^2 for the conjugate
+    partition lam', the form the tests compare against.
     """
     if lam.is_empty():
         raise InputError("gamma_exponent of the empty partition")
@@ -119,16 +106,7 @@ def gamma_exponent(lam: Partition, d: int) -> int:
         total += (a_u - 1) * m_u * m_u
         for _, m_v in pairs[u + 1 :]:
             total += 2 * a_u * m_u * m_v
-    return d * total
-
-
-def gamma_exponent_conjugate_form(lam: Partition, d: int) -> int:
-    """The same exponent via the conjugate partition (cross-audit route)."""
-    if lam.is_empty():
-        raise InputError("gamma_exponent of the empty partition")
-    conj_sq = sum(m * a * a for a, m in lam.conjugate().pairs)
-    mult_sq = sum(m * m for _, m in lam.pairs)
-    return d * (conj_sq - mult_sq)
+    return total
 
 
 def halve_multiplicities(lam: Partition) -> Partition:

@@ -18,9 +18,9 @@ from .ffpoly import (
     Poly,
     conj_reciprocal,
     factorize,
-    is_irreducible,
     mult_order,
     reciprocal,
+    require_irreducible_not_x,
     root_order,
     substitute_power,
 )
@@ -71,15 +71,6 @@ class ReciprocalFamily(enum.Enum):
     NEITHER = "neither"
 
 
-def _require_irreducible_not_x(f: Poly) -> None:
-    if not f.is_monic() or f.degree < 1:
-        raise InputError("need a monic polynomial of degree >= 1")
-    if f.constant_term() == 0:
-        raise InputError("x is excluded")
-    if not is_irreducible(f):
-        raise InputError(f"{f} is not irreducible")
-
-
 def butler_profile(f: Poly, m: int) -> ButlerProfile:
     """Factor profile of f(x^m) for gcd(m, q) = 1.
 
@@ -89,7 +80,7 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     number deg(f)*m2*phi(e)/M(e*m2*t; q).  The number of divisors of m1
     is checked against MAX_PROFILE_ENTRIES before any order is taken.
     """
-    _require_irreducible_not_x(f)
+    require_irreducible_not_x(f)
     if m < 1:
         raise InputError("m must be positive")
     if m > MAX_PROFILE_EXPONENT:
@@ -129,7 +120,7 @@ def classify2(f: Poly):
     Any other factorization shape contradicts the odd-characteristic
     dichotomy and aborts loudly.
     """
-    _require_irreducible_not_x(f)
+    require_irreducible_not_x(f)
     fx2 = substitute_power(f, 2)
     factors = factorize(fx2)
     if len(factors) == 1 and factors[0][1] == 1:

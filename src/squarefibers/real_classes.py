@@ -22,7 +22,6 @@ from .gl_classes import (
     enumerate_classes,
     gl_order,
     inverse_class,
-    is_identity_class,
     series_mul,
     series_pow,
 )
@@ -48,24 +47,20 @@ def _order_histogram(n: int, q: int) -> MappingProxyType:
 
 
 @lru_cache(maxsize=None)
-def _fiber_sums(n: int, q: int) -> tuple[int, int]:
-    """(sum over classes of |C| R(C)^2, sum over classes C != 1 of
-    |C| R(C) (R(C) - 1)) in one pass over the classes.
+def _fiber_sums(n: int, q: int) -> int:
+    """The sum over classes of |C| R(C)^2, in one pass over the classes.
 
     The mass identity sum |C| R(C) = |G| is asserted on the way.
     """
     mass = 0
     s2 = 0
-    sigma = 0
     for data in enumerate_classes(n, q):
         size = class_size(data)
         r = count_square_roots(data)
         mass += size * r
         s2 += size * r * r
-        if not is_identity_class(data):
-            sigma += size * r * (r - 1)
     assert mass == gl_order(n, q), "square-map mass is not conserved"
-    return s2, sigma
+    return s2
 
 
 def count_order_dividing(n: int, q: int, M: int) -> int:
@@ -133,7 +128,7 @@ def s2_cardinality(n: int, q: int) -> int:
     |C| * R(C)^2.  The mass identity sum |C| R(C) = |G|, a
     prerequisite, is asserted in the same pass.
     """
-    return _fiber_sums(n, q)[0]
+    return _fiber_sums(n, q)
 
 
 def real_class_count_ms(n: int, q: int) -> int:
@@ -152,16 +147,19 @@ def real_class_count_theorem(n: int, q: int, convention: str) -> Fraction:
     how c_2 is counted: "exact-order" uses elements of order exactly 2,
     "order-dividing" uses solutions of g^2 = 1; c_4 is the exact order-4
     count in both.  Audit-only: the value may be non-integral.
+
+    The sum over square classes is |s(2)| - |G| - c (c - 1), with c the
+    number of solutions of g^2 = 1: over every class, |C| R (R - 1) sums
+    to |s(2)| - |G| by the mass identity, and the identity class, of size
+    1, has R = c.
     """
     if convention not in THEOREM_CONVENTIONS:
         raise InputError(f"unknown convention {convention!r}")
     order = gl_order(n, q)
     c4 = count_order_exactly(n, q, 4)
-    if convention == "order-dividing":
-        c2 = count_order_dividing(n, q, 2)
-    else:
-        c2 = count_order_exactly(n, q, 2)
-    sigma = _fiber_sums(n, q)[1]
+    c = count_order_dividing(n, q, 2)
+    c2 = c if convention == "order-dividing" else count_order_exactly(n, q, 2)
+    sigma = _fiber_sums(n, q) - order - c * (c - 1)
     return 1 + Fraction(c4 + c2 * (c2 - 1) + sigma, order)
 
 

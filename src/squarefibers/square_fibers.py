@@ -18,6 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .brute_oracle import (
+    GroupSpec,
+    build_table,
+    class_data_of_element,
+    conjugacy_classes,
+    representative_index,
+    square_fiber_counts,
+)
 from .ffpoly import (
     Poly,
     conj_reciprocal,
@@ -119,7 +127,7 @@ def square_class(data: ClassData) -> ClassData:
             slot[part] = slot.get(part, 0) + mult
 
     for f, lam in data.entries:
-        fp = minimal_polynomial_of_power(f, 2)
+        fp = minimal_polynomial_of_power(f)
         if fp.degree == f.degree:
             cls = classify2(fp)
             assert isinstance(cls, TwoPower) and f in (cls.f1, cls.f2), (
@@ -365,8 +373,6 @@ def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditRep
     oracle_fibers = None
     table = None
     if include_oracle:
-        from .brute_oracle import GroupSpec, build_table, square_fiber_counts
-
         table = build_table(GroupSpec("gl", n, q))
         oracle_fibers = square_fiber_counts(table)
     for data in enumerate_classes(n, q):
@@ -394,8 +400,6 @@ def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditRep
         if exists != (count > 0):
             mismatches.append("existence predicate disagrees with the count")
         if include_oracle:
-            from .brute_oracle import representative_index
-
             fiber = oracle_fibers[representative_index(table, data)]
             values.append(("oracle_fiber", str(fiber)))
             if fiber != count:
@@ -410,14 +414,6 @@ def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
     """Existence predicate vs oracle on every class of the group of the
     given kind: "sp" for Sp_n(q), "u" for U_n(q^2), n the matrix size.
     On Sp the -I class is expected to be flagged."""
-    from .brute_oracle import (
-        GroupSpec,
-        build_table,
-        class_data_of_element,
-        conjugacy_classes,
-        square_fiber_counts,
-    )
-
     spec = GroupSpec(kind, n, q)
     table = build_table(spec)
     fibers = square_fiber_counts(table)

@@ -7,7 +7,9 @@ import tempfile
 import time
 import json
 import sys
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta
 from functools import lru_cache
 from pathlib import Path
 
@@ -16,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
 from squarefibers.cli import _render_json, run
 from squarefibers.ffpoly import field_from_order, monic_irreducibles
 from squarefibers.gl_classes import class_count
 from squarefibers.limits import InputError
+from squarefibers.matrices import mat_inv, mat_mul
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -257,6 +261,21 @@ def test_oracle_scale_refusal_exit_code():
     assert "refused" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify-poly", "--q", "9", "--poly", "1,1"],
+    ["real-classes", "--n", "2", "--q", "3"],
+])
+def test_timestamp_is_aware_utc_and_changes_nothing_else(argv):
+    stamped = invoke_json(argv + ["--timestamp"])
+    plain = invoke_json(argv)
+    when = datetime.fromisoformat(stamped.pop("timestamp"))
+    assert when.utcoffset() == timedelta(0)
+    assert plain.pop("timestamp") is None
+    assert stamped.pop("command") == argv + ["--timestamp"]
+    assert plain.pop("command") == argv
+    assert stamped == plain
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         invoke(["classes", "--n", "2"])  # missing --q
@@ -354,6 +373,28 @@ def test_oracle_cache_with_a_non_isometry_exits_2(tmp_path):
     raw[21 + 2 * 40 : 21 + 2 * 41] = (1 + 9 + 729).to_bytes(2, "little")
     cache.write_bytes(bytes(raw))
     assert _one_error_line(*invoke(argv))
+
+
+@pytest.mark.parametrize("kind,n,q", [("o+", 2, 5), ("u", 2, 3), ("sp", 4, 3), ("o0", 3, 3)])
+def test_oracle_cache_of_a_conjugate_group_exits_2(tmp_path, kind, n, q):
+    # P^-1 G P with P = I plus ones on the superdiagonal is closed under
+    # products and holds the identity, so only the membership check sees
+    # that its elements do not preserve the form
+    spec = GroupSpec(kind, n, q)
+    table = build_table(spec)
+    field = table.field
+    p = tuple(tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n))
+    p_inv = mat_inv(field, p)
+    codes = array("Q", (
+        table.encode(mat_mul(field, mat_mul(field, p_inv, table.matrix(i)), p))
+        for i in range(len(table))
+    ))
+    cache = tmp_path / "conjugate.sqf"
+    save_table(ElementTable(spec, field, codes), str(cache))
+    code, out, err = invoke(["oracle", "--kind", kind, "--n", str(n), "--q", str(q),
+                             "--report", "fibers", "--cache", str(cache)])
+    assert _one_error_line(code, out, err)
+    assert "an element does not preserve the form" in err
 
 
 def _fibers_from_cache(kind, path):

@@ -31,7 +31,7 @@ from squarefibers.limits import (
     InputError,
     ScaleLimitError,
 )
-from squarefibers.matrices import matrix_order
+from squarefibers.matrices import identity_matrix, mat_mul
 from squarefibers.partitions import Partition, partition_count
 
 
@@ -152,12 +152,21 @@ def test_element_order_examples(F3):
     assert element_order_of_class(_data(F3, ((2, 1), [(2, 1)]))) == 3
 
 
+def _matrix_order(field: Field, a) -> int:
+    """Reference: the least k with a^k = 1, by repeated multiplication."""
+    ident = identity_matrix(len(a))
+    cur, k = a, 1
+    while cur != ident:
+        cur, k = mat_mul(field, cur, a), k + 1
+    return k
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3)])
 def test_element_order_matches_matrix_order(n, q):
     field = field_make(q, 1)
     for data in enumerate_classes(n, q):
         rep = representative_matrix(data)
-        assert element_order_of_class(data) == matrix_order(field, rep)
+        assert element_order_of_class(data) == _matrix_order(field, rep)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5)])
