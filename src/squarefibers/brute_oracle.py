@@ -302,41 +302,13 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
         out.extend(spread[w] for w in cands[0])
         return out
 
-    if n == 2:
-        # the second columns for a first column u lie on the line <u, w> = t:
-        # w = b + s k over s in F, with k = (-lam_1, lam_0) spanning the
-        # kernel of lam = <u, .>.  When t = 0 the line is F k, and as
-        # <s k, s k> = sigma(s) s <k, k> only the s of one norm fiber can
-        # give the norm c; otherwise every point is tried.  A point is kept
-        # if it is a candidate, so u costs about |G| / |cands[0]| points,
-        # not a pairing with each of cands[1]; kept points are sorted into
-        # vector order, whose flat index w_0 q + w_1 they are held as.
-        t, c = form[0][1], form[1][1]
-        mul, add = field.mul, field.add
-        wanted = {vectors[w][0] * q + vectors[w][1] for w in cands[1]}
-        fibers: dict[int, list[int]] = {}
-        for s in range(q):
-            fibers.setdefault(mul(sigma(s), s), []).append(s)
-        for u in cands[0]:
-            lam0, lam1 = functional(vectors[u])
-            k0, k1 = field.neg(lam1), lam0
-            scalars = range(q)
-            if t:
-                b0, b1 = (0, mul(t, field.inv(lam1))) if lam1 else (mul(t, field.inv(lam0)), 0)
-            else:
-                b0 = b1 = 0
-                nk = dot(functional((k0, k1)), (k0, k1))
-                if nk:
-                    scalars = fibers.get(mul(c, field.inv(nk)), ())
-            points = (add(b0, mul(s, k0)) * q + add(b1, mul(s, k1)) for s in scalars)
-            kept = sorted(f for f in points if f in wanted)
-            out.extend(spread[u] + (f // q + f % q * row_weight) * q for f in kept)
-        return out
-
     # a pairing with a chosen column is evaluated on whole candidate lists
     # through flat q x q tables and per-coordinate columns of the vectors
     add_t = [field.add(a, b) for a in range(q) for b in range(q)]
     mul_t = [field.mul(a, b) for a in range(q) for b in range(q)]
+
+    def columns(ws):
+        return [[vectors[w][t] for w in ws] for t in range(n)]
 
     def pairings(u, cols):
         # <u, w> for every w whose coordinates cols holds
@@ -347,11 +319,21 @@ def _enumerate_isometries(spec: GroupSpec) -> array:
                 vals = [add_t[a * q + row[y]] for a, y in zip(vals, col)]
         return vals
 
+    if n == 2:  # each first column is picked once: pair it with one list
+        ws, target = cands[1], form[0][1]
+        cols = columns(ws)
+        for u in cands[0]:
+            out.extend(
+                spread[u] + spread[w] * q
+                for w, c in zip(ws, pairings(u, cols)) if c == target
+            )
+        return out
+
     # n >= 3: a vector is picked under many prefixes, so its pairings with
     # every vector of the union are computed once, on its first pick, and
     # later lists are filtered by lookup (entries are below q <= 2^8, as
     # q^n <= MAX_ENUMERATION_SPACE)
-    cols = [list(coords) for coords in zip(*vectors)]
+    cols = columns(range(len(vectors)))
     rows: list[bytes | None] = [None] * len(vectors)
 
     # extend(j, prefix, cands): cands[i] lists, in vector order, the
