@@ -601,16 +601,6 @@ def poly_one(field: Field) -> Poly:
     return Poly(field, (1,))
 
 
-def make_poly(field: Field, coeffs) -> Poly:
-    """Validating constructor for externally supplied coefficient lists."""
-    coeffs = tuple(int(c) for c in coeffs)
-    if any(c < 0 or c >= field.q for c in coeffs):
-        raise InputError(f"coefficients must lie in 0..{field.q - 1}")
-    if len(coeffs) - 1 > MAX_POLY_DEGREE:
-        raise ScaleLimitError(f"degree exceeds {MAX_POLY_DEGREE}")
-    return Poly(field, coeffs)
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     F = a.field
@@ -1003,7 +993,8 @@ def mult_order(s: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def minimal_polynomial_of_power(f: Poly) -> Poly:
-    """Minimal polynomial over F_q of beta^2, beta any root of irreducible f.
+    """Minimal polynomial over F_q of beta^2, beta any root of f, a monic
+    irreducible other than x.
 
     Computed by root squaring (Dandelin-Graeffe): for f monic of degree d,
     (-1)^d f(x) f(-x) = G(x^2) with G = prod (y - beta_i^2) over the
@@ -1012,9 +1003,7 @@ def minimal_polynomial_of_power(f: Poly) -> Poly:
     and P = G (degree d), or G = P^2 and P = gcd(G, G') (degree d/2).  For
     odd d only the first case can occur, and the gcd is skipped.
     """
-    _require_monic(f)
-    if not is_irreducible(f):
-        raise InputError("minimal_polynomial_of_power requires an irreducible input")
+    require_irreducible_not_x(f)
     F = f.field
     a = f.coeffs
     minus = [F.neg(c) if i % 2 else c for i, c in enumerate(a)]  # f(-x)

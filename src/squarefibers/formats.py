@@ -14,11 +14,10 @@ from .ffpoly import (
     Poly,
     field_from_order,
     field_make,
-    make_poly,
     require_irreducible_not_x,
 )
 from .gl_classes import ClassData, make_class_data
-from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
+from .limits import MAX_PARTITION_WEIGHT, MAX_POLY_DEGREE, InputError, ScaleLimitError
 from .partitions import Partition
 
 
@@ -41,10 +40,14 @@ def poly_to_text(f: Poly) -> str:
 
 def poly_from_text(field: Field, text: str) -> Poly:
     try:
-        coeffs = [int(part) for part in text.strip().split(",")]
+        coeffs = tuple(int(part) for part in text.strip().split(","))
     except ValueError as exc:
         raise InputError(f"bad polynomial string {text!r}") from exc
-    return make_poly(field, coeffs)
+    if any(c < 0 or c >= field.q for c in coeffs):
+        raise InputError(f"coefficients must lie in 0..{field.q - 1}")
+    if len(coeffs) - 1 > MAX_POLY_DEGREE:
+        raise ScaleLimitError(f"degree exceeds {MAX_POLY_DEGREE}")
+    return Poly(field, coeffs)
 
 
 def partition_to_text(lam: Partition) -> str:
@@ -68,10 +71,12 @@ def partition_from_text(text: str) -> Partition:
         except ValueError as exc:
             raise InputError(f"bad partition string {text!r}") from exc
     pairs.sort()
-    try:
-        lam = Partition(tuple(pairs))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    parts = [a for a, _ in pairs]
+    if parts[0] < 1 or len(set(parts)) < len(parts):
+        raise InputError(f"partition {text!r} needs distinct parts >= 1")
+    if any(m < 1 for _, m in pairs):
+        raise InputError(f"partition {text!r} needs multiplicities >= 1")
+    lam = Partition(tuple(pairs))
     if lam.weight > MAX_PARTITION_WEIGHT:
         raise ScaleLimitError(f"partition weight {lam.weight} exceeds {MAX_PARTITION_WEIGHT}")
     return lam
@@ -89,10 +94,12 @@ def class_data_to_json(data: ClassData) -> dict:
 
 
 def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
-    """Parse class data; polynomial keys are fully validated, including
-    irreducibility, since this is the untrusted path.  The shape is checked
-    first: an object with an 'entries' list of objects holding string
-    'poly' and 'partition' fields, and an integer 'n' when one is given."""
+    """Parse class data from outside the package and check all of it, since
+    ``ClassData`` and ``Partition`` check nothing.  The shape comes first:
+    an object with an 'entries' list of objects holding string 'poly' and
+    'partition' fields, and an integer 'n' when one is given.  Then at
+    least one entry, each polynomial a monic irreducible other than x and
+    listed once (after trimming), and a weight equal to a declared 'n'."""
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise InputError("class data must be an object with an 'entries' list")
     for item in obj["entries"]:
@@ -111,11 +118,18 @@ def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
         field = field_from_text(str(obj["q"]))
     elif "q" in obj and field_from_text(str(obj["q"])) != field:
         raise InputError("class data 'q' contradicts the requested field")
+    if not obj["entries"]:
+        raise InputError("class data needs at least one entry")
     entries = []
     for item in obj["entries"]:
         f = poly_from_text(field, item["poly"])
         require_irreducible_not_x(f)
         entries.append((f, partition_from_text(item["partition"])))
+    seen = set()
+    for f, _ in entries:
+        if f in seen:
+            raise InputError(f"class data lists {f} twice")
+        seen.add(f)
     data = make_class_data(field, entries)
     if "n" in obj and declared_n != data.n:
         raise InputError(f"declared n = {declared_n} but the data has weight {data.n}")

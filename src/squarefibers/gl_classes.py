@@ -33,35 +33,15 @@ class ClassData:
     """Combinatorial data of a GL_n(q) conjugacy class.
 
     Entries are (polynomial, partition) pairs sorted by (degree,
-    coefficient tuple) so equal classes compare equal.  Keys must be
-    monic with nonzero constant term; irreducibility is the caller's
-    responsibility on trusted paths and is checked by the parsers.
+    coefficient tuple) so equal classes compare equal.  Keys are distinct
+    monic irreducibles other than x over ``field`` and partitions are
+    nonempty.  The constructor checks none of this: values built inside
+    the package hold it by construction, and class data from outside
+    enters through ``formats.class_data_from_json``, which checks it.
     """
 
     field: Field
     entries: tuple[tuple[Poly, Partition], ...]
-
-    def __post_init__(self):
-        # runs for every class a walk yields: one coeffs read per entry, and
-        # the interned field passes by identity before the (p, k) comparison
-        field = self.field
-        if not self.entries:
-            raise InputError("class data needs at least one entry")
-        seen = None
-        for f, lam in self.entries:
-            if f.field is not field and f.field != field:
-                raise InputError("entry polynomial over the wrong field")
-            c = f.coeffs
-            if len(c) < 2 or c[-1] != 1:
-                raise InputError("class polynomials must be monic of degree >= 1")
-            if c[0] == 0:
-                raise InputError("class polynomials must have nonzero constant term")
-            if not lam.pairs:
-                raise InputError("class partitions must be nonempty")
-            key = (len(c), c)
-            if seen is not None and key <= seen:
-                raise InputError("entries must be strictly sorted by (degree, coeffs)")
-            seen = key
 
     @property
     def n(self) -> int:
@@ -75,7 +55,8 @@ class ClassData:
 
 
 def make_class_data(field: Field, entries) -> ClassData:
-    """Sort entries canonically and build the class."""
+    """Sort entries canonically and build the class, unchecked; outside
+    input goes through ``formats.class_data_from_json``."""
     ordered = sorted(entries, key=lambda kv: (kv[0].degree, kv[0].coeffs))
     return ClassData(field, tuple(ordered))
 

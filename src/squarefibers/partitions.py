@@ -11,23 +11,17 @@ from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 
 @dataclass(frozen=True)
 class Partition:
-    """Pairs (part, multiplicity) with parts strictly increasing.
+    """Pairs (part, multiplicity) of ints, parts >= 1 strictly increasing
+    and multiplicities >= 1.
 
-    The empty partition (weight 0) is a legal value but only ever
-    appears as an intermediate; class data never stores it.
+    The constructor checks none of this: values built inside the package
+    hold it by construction, and partition text from outside enters
+    through ``formats.partition_from_text``, which checks it.  The empty
+    partition (weight 0) is a legal value but only ever appears as an
+    intermediate; class data never stores it.
     """
 
     pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(a), int(m)) for a, m in self.pairs))
-        prev = 0
-        for part, mult in self.pairs:
-            if part <= prev:
-                raise InputError(f"parts must strictly increase: {self.pairs}")
-            if mult < 1:
-                raise InputError(f"multiplicities must be positive: {self.pairs}")
-            prev = part
 
     @property
     def weight(self) -> int:

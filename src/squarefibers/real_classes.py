@@ -46,23 +46,6 @@ def _order_histogram(n: int, q: int) -> MappingProxyType:
     return MappingProxyType(hist)
 
 
-@lru_cache(maxsize=None)
-def _fiber_sums(n: int, q: int) -> int:
-    """The sum over classes of |C| R(C)^2, in one pass over the classes.
-
-    The mass identity sum |C| R(C) = |G| is asserted on the way.
-    """
-    mass = 0
-    s2 = 0
-    for data in enumerate_classes(n, q):
-        size = class_size(data)
-        r = count_square_roots(data)
-        mass += size * r
-        s2 += size * r * r
-    assert mass == gl_order(n, q), "square-map mass is not conserved"
-    return s2
-
-
 def count_order_dividing(n: int, q: int, M: int) -> int:
     """Number of elements of GL_n(q) whose order divides M."""
     if M < 1:
@@ -120,15 +103,24 @@ def real_class_count_direct(n: int, q: int) -> int:
     return sum(1 for data in enumerate_classes(n, q) if inverse_class(data) == data)
 
 
+@lru_cache(maxsize=None)
 def s2_cardinality(n: int, q: int) -> int:
     """|{(g, h) in GL_n(q)^2 : g^2 h^2 = 1}| as a class-wise sum.
 
     Summing fiber(beta) * fiber(beta^(-1)) over beta and using that
     inverse classes have equal fibers gives sum over classes of
-    |C| * R(C)^2.  The mass identity sum |C| R(C) = |G|, a
-    prerequisite, is asserted in the same pass.
+    |C| * R(C)^2, in one pass over the classes.  The mass identity
+    sum |C| R(C) = |G|, a prerequisite, is asserted in the same pass.
     """
-    return _fiber_sums(n, q)
+    mass = 0
+    s2 = 0
+    for data in enumerate_classes(n, q):
+        size = class_size(data)
+        r = count_square_roots(data)
+        mass += size * r
+        s2 += size * r * r
+    assert mass == gl_order(n, q), "square-map mass is not conserved"
+    return s2
 
 
 def real_class_count_ms(n: int, q: int) -> int:
@@ -159,7 +151,7 @@ def real_class_count_theorem(n: int, q: int, convention: str) -> Fraction:
     c4 = count_order_exactly(n, q, 4)
     c = count_order_dividing(n, q, 2)
     c2 = c if convention == "order-dividing" else count_order_exactly(n, q, 2)
-    sigma = _fiber_sums(n, q) - order - c * (c - 1)
+    sigma = s2_cardinality(n, q) - order - c * (c - 1)
     return 1 + Fraction(c4 + c2 * (c2 - 1) + sigma, order)
 
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
 from squarefibers.cli import _render_json, run
 from squarefibers.ffpoly import field_from_order, monic_irreducibles
-from squarefibers.gl_classes import class_count
+from squarefibers.formats import class_data_to_json
+from squarefibers.gl_classes import class_count, enumerate_classes
 from squarefibers.limits import InputError
 from squarefibers.matrices import mat_inv, mat_mul
 
@@ -789,6 +790,53 @@ def test_sqrt_count_with_fuzzed_class_data(group, q, data):
     # the unitary group reads the class over F_{q^2}
     cls = data.draw(_class_text(q * q if group == "u" else q), label="class")
     _assert_clean_exit(*invoke(["sqrt-count", "--group", group, "--q", str(q), f"--class={cls}"]))
+
+
+@lru_cache(maxsize=None)
+def _class_objects(n, q):
+    return [class_data_to_json(c) for c in enumerate_classes(n, q)]
+
+
+def _break_class(rng, obj):
+    """One mutation that makes valid class data invalid."""
+    entries = obj["entries"]
+    entry = rng.choice(entries)
+    terms = entry["partition"].split("+")
+    mutation = rng.randrange(5)
+    if mutation == 0:  # a polynomial twice
+        entries.append(dict(entry))
+    elif mutation == 1:  # the same polynomial twice once trimmed
+        entries.append({**entry, "poly": entry["poly"] + ",0"})
+    elif mutation == 2:  # a repeated part
+        entry["partition"] += "+" + rng.choice(terms)
+    elif mutation == 3:  # a multiplicity <= 0
+        j = rng.randrange(len(terms))
+        part = terms[j].split("^")[0]
+        terms[j] = f"{part}^{rng.randint(-2, 0)}"
+        entry["partition"] = "+".join(terms)
+    else:
+        entries.clear()
+
+
+# (--group, --q, the order of the field the class lives over)
+_GROUP_FIELDS = [("gl", 3, 3), ("gl", 5, 5), ("gl", 9, 9), ("sp", 3, 3), ("sp", 5, 5),
+                 ("sp", 9, 9), ("u", 3, 9)]
+
+
+@settings(max_examples=150, deadline=5000)
+@given(group_field=st.sampled_from(_GROUP_FIELDS), n=st.integers(1, 3),
+       rng=st.randoms(use_true_random=True))
+def test_sqrt_count_refuses_broken_class_data(group_field, n, rng):
+    # ClassData and Partition check nothing, so the parser alone must refuse
+    # each mutation: one it let through would exit 0 with a wrong count.
+    # Without "n" the declared-weight check cannot catch it first.
+    group, q, order = group_field
+    obj = json.loads(json.dumps(rng.choice(_class_objects(n, order))))
+    del obj["n"]
+    _break_class(rng, obj)
+    code, out, err = invoke(["sqrt-count", "--group", group, "--q", str(q),
+                             f"--class={json.dumps(obj)}"])
+    assert _one_error_line(code, out, err), (code, err)
 
 
 @settings(max_examples=150, deadline=5000)

@@ -1,9 +1,13 @@
 """Round trips for the text and JSON codecs."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from squarefibers.brute_oracle import (
+    GroupSpec,
+    build_table,
+    class_data_of_element,
+    conjugacy_classes,
+)
 from squarefibers.ffpoly import field_make
 from squarefibers.formats import (
     class_data_from_json,
@@ -14,9 +18,10 @@ from squarefibers.formats import (
     poly_from_text,
     poly_to_text,
 )
-from squarefibers.gl_classes import enumerate_classes
+from squarefibers.gl_classes import enumerate_classes, inverse_class
 from squarefibers.limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
 from squarefibers.partitions import Partition
+from squarefibers.square_fibers import square_class, square_root_classes
 
 
 def test_field_from_text_forms():
@@ -97,10 +102,50 @@ def test_class_data_json_validation():
         class_data_from_json({"q": "3"})
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_class_data_roundtrip_over_enumerated_classes(data):
-    q = data.draw(st.sampled_from([3, 5]))
-    n = data.draw(st.integers(1, 3))
-    cls = data.draw(st.sampled_from(list(enumerate_classes(n, q))))
+def _class_json(*entries):
+    return {"q": "3", "entries": [{"poly": f, "partition": lam} for f, lam in entries]}
+
+
+def test_class_data_validation():
+    for obj in (
+        _class_json(),  # no entry
+        _class_json(("1,1", "1"), ("1,1", "1")),  # a polynomial twice
+        _class_json(("1,1", "1"), ("1,1,0", "1")),  # the same one once trimmed
+        _class_json(("1,2", "1")),  # not monic
+        _class_json(("1", "1")),  # degree 0
+        _class_json(("0,1", "1")),  # divisible by x
+    ):
+        with pytest.raises(InputError):
+            class_data_from_json(obj)
+
+
+def test_partition_validation():
+    for text in ("1^1+1^2", "1^0", "0^1", "-1^1", "1^-1"):
+        with pytest.raises(InputError):
+            partition_from_text(text)
+        with pytest.raises(InputError):
+            class_data_from_json(_class_json(("1,1", text)))
+
+
+def _assert_parses_back(cls):
     assert class_data_from_json(class_data_to_json(cls)) == cls
+
+
+def test_class_data_roundtrip_over_enumerated_classes():
+    # the class walk and the products of each class build their data
+    # unchecked; the parser's checks must accept every value they make
+    cells = [(n, q) for n in (1, 2, 3) for q in (3, 5, 9)] + [(4, 3)]
+    for n, q in cells:
+        for cls in enumerate_classes(n, q):
+            _assert_parses_back(cls)
+            _assert_parses_back(square_class(cls))
+            _assert_parses_back(inverse_class(cls))
+            for root in square_root_classes(cls).roots:
+                _assert_parses_back(root)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_class_data_of_element_roundtrip(q):
+    table = build_table(GroupSpec("gl", 2, q))
+    for cls in conjugacy_classes(table):
+        _assert_parses_back(class_data_of_element(table.field, table.matrix(cls[0])))

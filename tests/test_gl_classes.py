@@ -14,7 +14,6 @@ from squarefibers.brute_oracle import (
 )
 from squarefibers.ffpoly import Field, Poly, field_make
 from squarefibers.gl_classes import (
-    ClassData,
     centralizer_order,
     class_count,
     class_size,
@@ -25,12 +24,7 @@ from squarefibers.gl_classes import (
     make_class_data,
     representative_matrix,
 )
-from squarefibers.limits import (
-    MAX_CLASS_COUNT,
-    MAX_PARTITION_WEIGHT,
-    InputError,
-    ScaleLimitError,
-)
+from squarefibers.limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, ScaleLimitError
 from squarefibers.matrices import identity_matrix, mat_mul
 from squarefibers.partitions import Partition, partition_count
 
@@ -179,32 +173,6 @@ def test_class_sizes_match_oracle_orbits(n, q):
         sizes[data] = len(cls)
     for data in enumerate_classes(n, q):
         assert class_size(data) == sizes[data]
-
-
-def test_class_data_validation(F3):
-    with pytest.raises(InputError):
-        make_class_data(F3, [])
-    with pytest.raises(InputError):
-        _data(F3, ((0, 1), [(1, 1)]))  # key divisible by x
-    with pytest.raises(InputError):
-        _data(F3, ((1, 2), [(1, 1)]))  # not monic
-    with pytest.raises(InputError):
-        _data(F3, ((1,), [(1, 1)]))  # degree 0
-    with pytest.raises(InputError):
-        _data(F3, ((1, 1), []))  # empty partition
-    F9 = field_make(3, 2)
-    with pytest.raises(InputError):
-        ClassData(F3, ((Poly(F9, (1, 1)), Partition(((1, 1),))),))  # wrong field
-    one, two = Poly(F3, (1, 1)), Poly(F3, (2, 1))
-    lam = Partition(((1, 1),))
-    with pytest.raises(InputError):
-        ClassData(F3, ((two, lam), (one, lam)))  # unsorted
-    with pytest.raises(InputError):
-        ClassData(F3, ((one, lam), (one, lam)))  # repeated
-    # an equal field that is not the interned instance is accepted
-    twin = Field(3, 1, None)
-    assert twin is not F3
-    assert ClassData(twin, ((one, lam),)).n == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,13 +35,6 @@ def _gamma_exponent_conjugate_form(lam: Partition) -> int:
     return conj_sq - sum(m * m for _, m in lam.pairs)
 
 
-def test_partition_validation():
-    with pytest.raises(InputError):
-        Partition(((2, 1), (1, 1)))  # parts must increase
-    with pytest.raises(InputError):
-        Partition(((1, 0),))
-
-
 def test_partitions_of_counts():
     assert len(partitions_of(0)) == 1 and partitions_of(0)[0].is_empty()
     assert len(partitions_of(4)) == 5

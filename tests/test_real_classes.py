@@ -158,7 +158,7 @@ def test_full_audit_makes_one_class_pass_per_statistic(monkeypatch):
             if modname.startswith("squarefibers") and getattr(module, name, None) is orig:
                 monkeypatch.setattr(module, name, wrapper)
     real_classes._order_histogram.cache_clear()
-    real_classes._fiber_sums.cache_clear()
+    real_classes.s2_cardinality.cache_clear()
     with redirect_stdout(io.StringIO()):
         assert run(["real-classes", "--n", "3", "--q", "3"]) == 0
     assert calls["count_square_roots"] == class_count(3, 3)
