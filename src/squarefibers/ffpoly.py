@@ -663,7 +663,8 @@ def require_irreducible_not_x(f: Poly) -> None:
 
 # Polynomials proven irreducible in this process: every output of
 # monic_irreducibles (each is built as a minimal polynomial), every positive
-# verdict of is_irreducible and every factor that factorize returns.
+# verdict of is_irreducible, every factor that factorize returns and every
+# factor of f(x^2) that power_poly.classify2 returns.
 # Reducible verdicts are never kept: the set only ever answers "irreducible".
 _PROVEN_IRREDUCIBLE: set[Poly] = set()
 

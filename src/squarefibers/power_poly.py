@@ -2,9 +2,12 @@
 
 For odd q and a monic irreducible f != x, f(x^2) is either irreducible
 or splits into exactly two distinct irreducibles of the same degree as
-f; the two outcomes drive the whole square-root theory.  The profile of
-f(x^m) for general m coprime to q is available as an independent,
-formula-driven route and is audited against direct factorization.
+f; the two outcomes drive the whole square-root theory.  ``classify2``
+factors f(x^2) with one modular power and two gcds, so its verdict comes
+from polynomial gcds and never from the order of a root.
+The profile of f(x^m) for general m coprime to q is available as an
+independent, formula-driven route and is audited against direct
+factorization.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
 
+from . import ffpoly
 from .ffpoly import (
     Poly,
     conj_reciprocal,
-    factorize,
+    gcd,
     mult_order,
+    poly_one,
+    pow_mod,
     reciprocal,
     require_irreducible_not_x,
     root_order,
@@ -113,28 +119,75 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     return profile
 
 
+# How many field elements classify2 tries as the shift a of x + a: a cap, so
+# the search costs the same for every q.
+_SHIFT_TRIES = 16
+
+
 @lru_cache(maxsize=None)
 def classify2(f: Poly):
-    """SkewTwoPower if f(x^2) is irreducible, else the sorted TwoPower pair.
+    """SkewTwoPower if g = f(x^2) is irreducible, else the sorted TwoPower pair.
 
-    Any other factorization shape contradicts the odd-characteristic
-    dichotomy and aborts loudly.
+    Let d = deg f, e = (q^d - 1)/2 and r = x + a with a in F_q and
+    g(a) != 0 (a = 0 qualifies, as g(0) = f(0) != 0); take s = r^e mod g,
+    plus = gcd(s - 1, g) and minus = gcd(s + 1, g).
+    For a root b of g, b^2 is a root of f, so F_q(b) contains F_{q^d} and
+    has degree d or 2d, and b + a != 0.  If b lies in F_{q^d}, so does
+    b + a, and (b + a)^e = +-1: b is a root of plus or of minus.  If not,
+    neither is b + a, and (b + a)^e != +-1.  The roots of g are b and -b
+    with b running over one Frobenius orbit, so they all lie in F_{q^d} or
+    none does, and the degrees of (plus, minus) decide:
+
+    - (0, 0): every root of g has degree 2d, so g is irreducible;
+    - (d, d): plus * minus = g, and each factor is irreducible, since its
+      roots have degree d;
+    - (0, 2d) or (2d, 0): g, squarefree as f is and f(0) != 0, is a
+      product of two irreducibles of degree d that this r does not
+      separate; Cantor-Zassenhaus splits it.
+
+    The shift a is only a heuristic that makes the third case rare: the
+    first of the first _SHIFT_TRIES field elements with g(a) = f(a^2) a
+    non-square.  When g splits with b a root of one factor, g(a) is the
+    product of the norms from F_{q^d} of a + b and a - b, so their
+    quadratic characters differ and plus, minus get one factor each.  The
+    verdict never reads that character, only the gcd degrees; any other
+    pair of degrees contradicts the odd-characteristic dichotomy and
+    aborts loudly.
     """
     require_irreducible_not_x(f)
-    fx2 = substitute_power(f, 2)
-    factors = factorize(fx2)
-    if len(factors) == 1 and factors[0][1] == 1:
-        return SkewTwoPower(fx2)
-    if (
-        len(factors) == 2
-        and all(m == 1 for _, m in factors)
-        and all(g.degree == f.degree for g, _ in factors)
-    ):
-        f1, f2 = factors[0][0], factors[1][0]
-        return TwoPower(f1, f2)
-    raise RuntimeError(
-        f"f(x^2) for f={f} over F_{f.field.q} violates the two-factor dichotomy"
-    )
+    F = f.field
+    d = f.degree
+    g = substitute_power(f, 2)
+    shifts = range(min(F.q, _SHIFT_TRIES))
+    a = next((a for a in shifts if not F.is_square(_value(f, F.mul(a, a)))), 0)
+    s = pow_mod(Poly(F, (a, 1)), (F.q**d - 1) // 2, g)
+    one = poly_one(F)
+    plus, minus = gcd(s - one, g), gcd(s + one, g)
+    degrees = plus.degree, minus.degree
+    if degrees == (0, 0):
+        ffpoly._PROVEN_IRREDUCIBLE.add(g)
+        return SkewTwoPower(g)
+    if degrees == (d, d):
+        factors = [plus, minus]
+    elif sorted(degrees) == [0, 2 * d]:
+        factors = ffpoly._equal_degree(g, d)
+    else:
+        raise RuntimeError(
+            f"f(x^2) for f={f} over F_{F.q} violates the two-factor dichotomy"
+        )
+    f1, f2 = sorted(factors, key=lambda h: h.coeffs)
+    assert f1 * f2 == g, "f(x^2) failed to recompose"
+    ffpoly._PROVEN_IRREDUCIBLE.update((f1, f2))
+    return TwoPower(f1, f2)
+
+
+def _value(f: Poly, a: int) -> int:
+    """f(a), by Horner's rule."""
+    F = f.field
+    v = 0
+    for c in reversed(f.coeffs):
+        v = F.add(F.mul(v, a), c)
+    return v
 
 
 def is_self_reciprocal(f: Poly) -> bool:

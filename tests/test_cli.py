@@ -6,6 +6,7 @@ import io
 import tempfile
 import time
 import json
+import random
 import sys
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,8 +21,14 @@ from hypothesis import strategies as st
 
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
 from squarefibers.cli import _render_json, run
-from squarefibers.ffpoly import field_from_order, monic_irreducibles
-from squarefibers.formats import class_data_to_json
+from squarefibers.ffpoly import (
+    Poly,
+    field_from_order,
+    is_irreducible,
+    monic_irreducibles,
+    substitute_power,
+)
+from squarefibers.formats import class_data_to_json, poly_from_text
 from squarefibers.gl_classes import class_count, enumerate_classes
 from squarefibers.limits import InputError
 from squarefibers.matrices import mat_inv, mat_mul
@@ -62,6 +69,25 @@ def test_classify_poly_two_power():
     assert payload["classification"] == "2-power"
     assert payload["factors_of_f_x2"] == ["2,1,1", "2,2,1"]
     assert payload["star_classification"] == "neither"
+
+
+def test_classify_poly_degree_23_over_the_largest_prime_field():
+    # f(x^2) has degree 46 and classify2's exponent (q^23 - 1)/2 has 460 bits
+    field = field_from_order(1048573)
+    rng = random.Random(0)
+    while True:
+        f = Poly(field, tuple(rng.randrange(1, field.q) for _ in range(23)) + (1,))
+        if is_irreducible(f):
+            break
+    start = time.perf_counter()
+    env = invoke_json(["classify-poly", "--q", "1048573", "--poly", str(f)])
+    assert time.perf_counter() - start < 5.0
+    payload = env["payload"]
+    product = Poly(field, (1,))
+    for text in payload["factors_of_f_x2"]:
+        product = product * poly_from_text(field, text)
+    assert product == substitute_power(f, 2)
+    assert payload["classification"] == "2-power"
 
 
 def test_classify_poly_rejects_reducible():
@@ -172,15 +198,26 @@ def test_audit_squares_gl_with_oracle():
     assert env["warnings"]
 
 
-def test_audit_squares_gl3_over_f25():
-    # about 2.5 s on a 2-vCPU Xeon; every class compares the factorization kind
-    # (existence predicate) with the root-order kind (block-product count)
-    env = invoke_json(["audit-squares", "--n", "3", "--q", "25"])
+def _assert_gl3_audit_agrees(q):
+    # every class compares the factorization kind (existence predicate) with
+    # the root-order kind (block-product count)
+    env = invoke_json(["audit-squares", "--n", "3", "--q", str(q)])
     records = env["payload"]["records"]
-    assert len(records) == class_count(3, 25)
+    assert len(records) == class_count(3, q)
     assert not any(
         "existence predicate disagrees" in m for r in records for m in r["mismatches"]
     )
+
+
+def test_audit_squares_gl3_over_f25():
+    # about 4.5 s on a 2-vCPU Xeon, schema validation included
+    _assert_gl3_audit_agrees(25)
+
+
+def test_audit_squares_gl3_over_f27():
+    # 19,656 classes over 6,929 polynomials; about 5 s on a 2-vCPU Xeon
+    assert class_count(3, 27) == 19656
+    _assert_gl3_audit_agrees(27)
 
 
 def test_audit_squares_sp_flags_minus_identity():

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squarefibers import ffpoly
 from squarefibers.ffpoly import (
     Poly,
     factorize,
     field_from_order,
+    is_irreducible,
     monic_irreducibles,
     reciprocal,
     root_order,
@@ -107,6 +109,58 @@ def test_classify2_dichotomy_and_product(q):
                 assert cls.f1.degree == cls.f2.degree == f.degree
             else:
                 assert cls.f_of_x2 == substitute_power(f, 2)
+
+
+# Largest degree per field for the reference grid below.
+REFERENCE_GRID = {3: 6, 5: 4, 7: 4, 9: 3, 25: 2, 27: 2}
+
+
+def test_classify2_equals_the_general_factorization(monkeypatch):
+    listed = [
+        f
+        for q, max_deg in REFERENCE_GRID.items()
+        for d in range(1, max_deg + 1)
+        for f in _irreducibles_without_x(field_from_order(q), d)
+    ]
+    want = {}
+    for f in listed:
+        factors = factorize(substitute_power(f, 2))
+        assert all(mult == 1 for _, mult in factors)
+        if len(factors) == 1:
+            want[f] = SkewTwoPower(factors[0][0])
+        else:
+            want[f] = TwoPower(*(g for g, _ in factors))
+
+    # Ben-Or must not run: with only f known irreducible, every factor
+    # classify2 returns is recorded as proven, and no verdict comes from a
+    # distinct-degree split.
+    def no_ben_or(f):
+        raise AssertionError(f"distinct-degree split of {f}")
+
+    monkeypatch.setattr(ffpoly, "_distinct_degree", no_ben_or)
+    fallbacks = []
+    equal_degree = ffpoly._equal_degree
+
+    def spy(g, d):
+        fallbacks.append(g)
+        return equal_degree(g, d)
+
+    monkeypatch.setattr(ffpoly, "_equal_degree", spy)
+    outcomes = Counter()
+    for f in listed:
+        monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", {f})
+        before = len(fallbacks)
+        got = classify2.__wrapped__(f)
+        assert got == want[f], f
+        if isinstance(got, SkewTwoPower):
+            outcomes["skew"] += 1
+            assert is_irreducible(got.f_of_x2)
+        else:
+            outcomes["fallback" if len(fallbacks) > before else "first gcds"] += 1
+            assert is_irreducible(got.f1) and is_irreducible(got.f2)
+    assert set(outcomes) == {"skew", "first gcds", "fallback"}, outcomes
+    # the shift a makes the first gcds split almost every two-power f
+    assert outcomes["fallback"] * 10 < len(listed), outcomes
 
 
 @pytest.mark.parametrize("q", [3, 5])
