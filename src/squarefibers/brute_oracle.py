@@ -24,7 +24,6 @@ import os
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
@@ -48,6 +47,7 @@ from .matrices import (
     transpose,
 )
 from .partitions import Partition
+from .records import Record
 
 KINDS = ("gl", "u", "sp", "o+", "o-", "o0")
 
@@ -57,30 +57,28 @@ _KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 _MAX_CODE = 2**64  # codes are held in unsigned 64-bit arrays
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """Descriptor of an explicit matrix group.
 
     n is always the matrix size (so Sp_{2m} has n = 2m); q is the base
     field order, and unitary matrices live over F_{q^2}.
     """
 
-    kind: str
-    n: int
-    q: int
+    __slots__ = ("kind", "n", "q")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown group kind {self.kind!r}")
-        if self.n < 1:
+    def __init__(self, kind: str, n: int, q: int):
+        if kind not in KINDS:
+            raise InputError(f"unknown group kind {kind!r}")
+        if n < 1:
             raise InputError("dimension must be positive")
-        if self.kind == "sp" and self.n % 2:
+        if kind == "sp" and n % 2:
             raise InputError("symplectic groups need even matrix size")
-        if self.kind in ("o+", "o-") and self.n % 2:
-            raise InputError(f"{self.kind} needs even matrix size")
-        if self.kind == "o0" and self.n % 2 == 0:
+        if kind in ("o+", "o-") and n % 2:
+            raise InputError(f"{kind} needs even matrix size")
+        if kind == "o0" and n % 2 == 0:
             raise InputError("o0 needs odd matrix size")
-        field_from_order(self.q)  # validates odd prime power
+        field_from_order(q)  # validates odd prime power
+        self._set(kind, n, q)
 
     def matrix_field(self) -> Field:
         return field_from_order(self.q**2 if self.kind == "u" else self.q)

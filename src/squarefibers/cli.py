@@ -6,33 +6,22 @@ reproducible byte for byte), payload and a warnings list.  Audit
 mismatches are findings, not failures: they surface as warnings and the
 exit code stays 0.  Exit 2 means invalid input, exit 3 means a
 desk-scale bound was refused.
+
+A verb imports only the code it runs: the query verbs load neither the
+oracle nor the real-class code, and ``datetime`` and ``csv`` load only
+when a run asks for a timestamp or CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from functools import lru_cache
 
 from . import __version__
-from .brute_oracle import (
-    GroupSpec,
-    build_table,
-    class_data_of_element,
-    conjugacy_classes,
-    enumerate_group,
-    inverse_positions,
-    load_table,
-    real_classes_oracle,
-    s2_oracle,
-    save_table,
-    square_fiber_counts,
-)
 from .ffpoly import substitute_power
 from .formats import (
     class_data_from_json,
@@ -50,8 +39,7 @@ from .gl_classes import (
     gl_order,
     inverse_class,
 )
-from .limits import InputError, ScaleLimitError
-from .matrices import identity_matrix
+from .limits import InputError, ScaleLimitError, clip
 from .power_poly import (
     ReciprocalFamily,
     SkewTwoPower,
@@ -61,15 +49,6 @@ from .power_poly import (
     classify2_tilde,
     is_self_conjugate,
     is_self_reciprocal,
-)
-from .real_classes import (
-    THEOREM_CONVENTIONS,
-    audit_real_counts,
-    real_class_count_direct,
-    real_class_count_ms,
-    real_class_count_theorem,
-    s2_cardinality,
-    unity_root_counts,
 )
 from .square_fibers import (
     AuditReport,
@@ -88,11 +67,16 @@ SCHEMA_VERSION = "1"
 
 
 def _envelope(argv: list[str], payload: dict, warnings: list[str], stamp: bool) -> dict:
+    timestamp = None
+    if stamp:
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat()
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "squarefibers", "version": __version__},
         "command": list(argv),
-        "timestamp": datetime.now(timezone.utc).isoformat() if stamp else None,
+        "timestamp": timestamp,
         "payload": payload,
         "warnings": warnings,
     }
@@ -207,6 +191,8 @@ def _cmd_classes(args) -> tuple[dict, list[str]]:
 
 
 def _classes_csv(payload: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -239,7 +225,7 @@ def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
         raise InputError(f"--class is not valid JSON: {exc}") from exc
     data = class_data_from_json(class_obj, field)
     if args.n is not None and data.n != args.n:
-        raise InputError(f"--n {args.n} does not match the class weight {data.n}")
+        raise InputError(f"--n {clip(args.n)} does not match the class weight {data.n}")
     payload = {
         "group": args.group,
         "n": data.n,
@@ -282,6 +268,8 @@ def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
 
 
 def _audit_csv(payload: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     keys: list[str] = []
@@ -300,6 +288,16 @@ def _audit_csv(payload: dict) -> str:
 
 
 def _cmd_real_classes(args) -> tuple[dict, list[str]]:
+    from .real_classes import (
+        THEOREM_CONVENTIONS,
+        audit_real_counts,
+        real_class_count_direct,
+        real_class_count_ms,
+        real_class_count_theorem,
+        s2_cardinality,
+        unity_root_counts,
+    )
+
     n, q = args.n, args.q
     if args.method == "direct":
         return {
@@ -354,10 +352,25 @@ def _cmd_real_classes(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:
+    import os
+
+    from .brute_oracle import (
+        GroupSpec,
+        build_table,
+        class_data_of_element,
+        conjugacy_classes,
+        enumerate_group,
+        inverse_positions,
+        load_table,
+        real_classes_oracle,
+        s2_oracle,
+        save_table,
+        square_fiber_counts,
+    )
+    from .matrices import identity_matrix
+
     spec = GroupSpec(args.kind, args.n, args.q)
     if args.cache:
-        import os
-
         try:
             if os.path.exists(args.cache):
                 table = load_table(spec, args.cache)

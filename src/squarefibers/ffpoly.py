@@ -24,7 +24,6 @@ import random
 import sys
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
 
@@ -33,9 +32,11 @@ from .limits import (
     MAX_POLY_DEGREE,
     InputError,
     ScaleLimitError,
+    clip,
     exceeds,
 )
 from .numtheory import factorint, n_order
+from .records import Record
 
 
 class Field:
@@ -273,13 +274,13 @@ def field_make(p: int, k: int) -> Field:
     constant term first.
     """
     if not isinstance(p, int) or not isinstance(k, int) or k < 1:
-        raise InputError(f"bad field parameters ({p}, {k})")
+        raise InputError(f"bad field parameters ({clip(p)}, {clip(k)})")
     if p == 2:
         raise InputError("even characteristic is not supported")
     if p < 3:
-        raise InputError(f"{p} is not prime")
+        raise InputError(f"{clip(p)} is not prime")
     if exceeds(p, k, MAX_FIELD_ORDER):
-        raise ScaleLimitError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
+        raise ScaleLimitError(f"field order {clip(p)}^{clip(k)} exceeds {MAX_FIELD_ORDER}")
     if list(factorint(p)) != [p]:
         raise InputError(f"{p} is not prime")
     if k == 1:
@@ -298,9 +299,9 @@ def field_make(p: int, k: int) -> Field:
 def field_from_order(q: int) -> Field:
     """F_q from its order; q must be an odd prime power."""
     if not isinstance(q, int) or q < 3:
-        raise InputError(f"bad field order {q}")
+        raise InputError(f"bad field order {clip(q)}")
     if q > MAX_FIELD_ORDER:
-        raise ScaleLimitError(f"field order {q} exceeds {MAX_FIELD_ORDER}")
+        raise ScaleLimitError(f"field order {clip(q)} exceeds {MAX_FIELD_ORDER}")
     fac = factorint(q)
     if len(fac) != 1:
         raise InputError(f"{q} is not a prime power")
@@ -488,26 +489,34 @@ def _residue_ring(F: Field, m: tuple[int, ...]):
     return encode, mulmod, decode
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Polynomial over a finite field, coefficients constant term first.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
+    leading coefficient is nonzero: the constructor takes any sequence
+    and drops trailing zeros.
     """
 
-    field: Field
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        c = self.coeffs
-        if not isinstance(c, tuple):
-            c = tuple(c)
-        elif not c or c[-1]:
-            return
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        _set_poly_field(self, field)
+        _set_poly_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        # fields are interned, so the identity test settles nearly every call
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs and (
+                self.field is other.field or self.field == other.field
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -593,6 +602,11 @@ class Poly:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
 
+# The slots' own setters, which skip the refusing __setattr__.
+_set_poly_field = Poly.field.__set__
+_set_poly_coeffs = Poly.coeffs.__set__
+
+
 def poly_x(field: Field) -> Poly:
     return Poly(field, (0, 1))
 
@@ -658,7 +672,7 @@ def require_irreducible_not_x(f: Poly) -> None:
         problem = "is not irreducible"
     else:
         return
-    raise InputError(f"{f} over F_{f.field.q} {problem}")
+    raise InputError(f"{clip(f)} over F_{f.field.q} {problem}")
 
 
 # Polynomials proven irreducible in this process: every output of

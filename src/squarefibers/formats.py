@@ -17,7 +17,7 @@ from .ffpoly import (
     require_irreducible_not_x,
 )
 from .gl_classes import ClassData, make_class_data
-from .limits import MAX_PARTITION_WEIGHT, MAX_POLY_DEGREE, InputError, ScaleLimitError
+from .limits import MAX_PARTITION_WEIGHT, MAX_POLY_DEGREE, InputError, ScaleLimitError, clip
 from .partitions import Partition
 
 
@@ -31,7 +31,7 @@ def field_from_text(text: str) -> Field:
     except ValueError as exc:
         if isinstance(exc, (InputError, ScaleLimitError)):
             raise
-        raise InputError(f"bad field spec {text!r}") from exc
+        raise InputError(f"bad field spec {clip(repr(text))}") from exc
 
 
 def poly_to_text(f: Poly) -> str:
@@ -42,7 +42,7 @@ def poly_from_text(field: Field, text: str) -> Poly:
     try:
         coeffs = tuple(int(part) for part in text.strip().split(","))
     except ValueError as exc:
-        raise InputError(f"bad polynomial string {text!r}") from exc
+        raise InputError(f"bad polynomial string {clip(repr(text))}") from exc
     if any(c < 0 or c >= field.q for c in coeffs):
         raise InputError(f"coefficients must lie in 0..{field.q - 1}")
     if len(coeffs) - 1 > MAX_POLY_DEGREE:
@@ -61,7 +61,7 @@ def partition_from_text(text: str) -> Partition:
     for term in text.strip().split("+"):
         term = term.strip()
         if not term:
-            raise InputError(f"bad partition string {text!r}")
+            raise InputError(f"bad partition string {clip(repr(text))}")
         try:
             if "^" in term:
                 a_str, m_str = term.split("^", 1)
@@ -69,16 +69,16 @@ def partition_from_text(text: str) -> Partition:
             else:
                 pairs.append((int(term), 1))
         except ValueError as exc:
-            raise InputError(f"bad partition string {text!r}") from exc
+            raise InputError(f"bad partition string {clip(repr(text))}") from exc
     pairs.sort()
     parts = [a for a, _ in pairs]
     if parts[0] < 1 or len(set(parts)) < len(parts):
-        raise InputError(f"partition {text!r} needs distinct parts >= 1")
+        raise InputError(f"partition {clip(repr(text))} needs distinct parts >= 1")
     if any(m < 1 for _, m in pairs):
-        raise InputError(f"partition {text!r} needs multiplicities >= 1")
+        raise InputError(f"partition {clip(repr(text))} needs multiplicities >= 1")
     lam = Partition(tuple(pairs))
     if lam.weight > MAX_PARTITION_WEIGHT:
-        raise ScaleLimitError(f"partition weight {lam.weight} exceeds {MAX_PARTITION_WEIGHT}")
+        raise ScaleLimitError(f"partition weight {clip(lam.weight)} exceeds {MAX_PARTITION_WEIGHT}")
     return lam
 
 
@@ -111,7 +111,7 @@ def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
             raise InputError("each class entry must be an object with string 'poly' and 'partition'")
     declared_n = obj.get("n")
     if "n" in obj and (not isinstance(declared_n, int) or isinstance(declared_n, bool)):
-        raise InputError(f"class data 'n' must be an integer, not {declared_n!r}")
+        raise InputError(f"class data 'n' must be an integer, not {clip(repr(declared_n))}")
     if field is None:
         if "q" not in obj:
             raise InputError("class data needs a 'q' when no field is given")
@@ -128,9 +128,9 @@ def class_data_from_json(obj: dict, field: Field | None = None) -> ClassData:
     seen = set()
     for f, _ in entries:
         if f in seen:
-            raise InputError(f"class data lists {f} twice")
+            raise InputError(f"class data lists {clip(f)} twice")
         seen.add(f)
     data = make_class_data(field, entries)
     if "n" in obj and declared_n != data.n:
-        raise InputError(f"declared n = {declared_n} but the data has weight {data.n}")
+        raise InputError(f"declared n = {clip(declared_n)} but the data has weight {data.n}")
     return data

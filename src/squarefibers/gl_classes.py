@@ -8,10 +8,9 @@ inversion and element orders are all computed from that data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from math import lcm
-from typing import Iterator
 
 from .ffpoly import (
     Field,
@@ -21,15 +20,15 @@ from .ffpoly import (
     reciprocal,
     root_order,
 )
-from .limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
+from .limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, InputError, ScaleLimitError, clip
 from .numtheory import divisors, mobius
 from .partitions import Partition, gamma_exponent, partition_count, partitions_of
+from .records import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Record):
     """Combinatorial data of a GL_n(q) conjugacy class.
 
     Entries are (polynomial, partition) pairs sorted by (degree,
@@ -40,8 +39,22 @@ class ClassData:
     enters through ``formats.class_data_from_json``, which checks it.
     """
 
-    field: Field
-    entries: tuple[tuple[Poly, Partition], ...]
+    __slots__ = ("field", "entries")
+
+    def __init__(self, field: Field, entries: tuple[tuple[Poly, Partition], ...]):
+        _set_class_field(self, field)
+        _set_class_entries(self, entries)
+
+    def __eq__(self, other):
+        # fields are interned, so the identity test settles nearly every call
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries and (
+                self.field is other.field or self.field == other.field
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.entries))
 
     @property
     def n(self) -> int:
@@ -52,6 +65,11 @@ class ClassData:
 
     def __str__(self) -> str:
         return "; ".join(f"({f})->{lam}" for f, lam in self.entries)
+
+
+# The slots' own setters, which skip the refusing __setattr__.
+_set_class_field = ClassData.field.__set__
+_set_class_entries = ClassData.entries.__set__
 
 
 def make_class_data(field: Field, entries) -> ClassData:
@@ -141,7 +159,7 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     # and p(n) > p(MAX_PARTITION_WEIGHT) > MAX_CLASS_COUNT for any larger n:
     # such an n is refused before its class count is formed
     if n > MAX_PARTITION_WEIGHT or class_count(n, q) > MAX_CLASS_COUNT:
-        raise ScaleLimitError(f"GL_{n}({q}) has more than {MAX_CLASS_COUNT} classes")
+        raise ScaleLimitError(f"GL_{clip(n)}({q}) has more than {MAX_CLASS_COUNT} classes")
     polys: list[Poly] = []
     ends = [0]  # ends[r]: how many class polynomials have degree <= r
     for d in range(1, n + 1):

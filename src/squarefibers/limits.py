@@ -14,12 +14,23 @@ MAX_GROUP_ORDER = 10**6
 MAX_ENUMERATION_SPACE = 2**24
 MAX_PROFILE_EXPONENT = 2**64 - 1  # largest m of a Butler profile of f(x^m)
 MAX_PROFILE_ENTRIES = 10**4  # most entries (divisors of m1) of a Butler profile
+MAX_ECHO_CHARS = 60  # most characters of an input value that an error message repeats
 
 
 def exceeds(base: int, exp: int, bound: int) -> bool:
     """base**exp > bound for base >= 2, without forming a power that the
     bound could not hold: an exp past the bound's bit length overflows it."""
     return exp >= bound.bit_length() or base**exp > bound
+
+
+def clip(value) -> str:
+    """``str(value)`` for an error message, cut to MAX_ECHO_CHARS characters
+    and followed by its length when longer, so that a huge input still
+    gives a short line."""
+    text = str(value)
+    if len(text) <= MAX_ECHO_CHARS:
+        return text
+    return f"{text[:MAX_ECHO_CHARS]}… ({len(text)} characters)"
 
 
 class InputError(ValueError):

@@ -13,12 +13,21 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from types import MappingProxyType
 
-_SMALL_PRIMES = tuple(
-    p for p in range(2, 1000) if all(p % r for r in range(2, int(p**0.5) + 1))
-)
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(flags) if flag)
+
+
+_SMALL_PRIMES = _primes_below(1000)
 _TRIAL_BOUND = 1000 * 1000  # a number below it without a small factor is prime
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _WORD = 1 << 64

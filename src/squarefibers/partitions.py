@@ -3,14 +3,13 @@ statistics that the class-counting formulas consume."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError
+from .limits import MAX_PARTITION_WEIGHT, InputError, ScaleLimitError, clip
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Pairs (part, multiplicity) of ints, parts >= 1 strictly increasing
     and multiplicities >= 1.
 
@@ -21,7 +20,18 @@ class Partition:
     intermediate; class data never stores it.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        _set_pairs(self, pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     @property
     def weight(self) -> int:
@@ -46,13 +56,17 @@ class Partition:
         return "+".join(f"{a}^{m}" for a, m in self.pairs) if self.pairs else "(empty)"
 
 
+# The slot's own setter, which skips the refusing __setattr__.
+_set_pairs = Partition.pairs.__set__
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, ordered lexicographically by multiplicity vector."""
     if n < 0:
         raise InputError("cannot partition a negative integer")
     if n > MAX_PARTITION_WEIGHT:
-        raise ScaleLimitError(f"partition weight {n} exceeds {MAX_PARTITION_WEIGHT}")
+        raise ScaleLimitError(f"partition weight {clip(n)} exceeds {MAX_PARTITION_WEIGHT}")
     if n == 0:
         return (Partition(()),)
     acc: list[Partition] = []

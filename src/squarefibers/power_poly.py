@@ -13,7 +13,6 @@ factorization.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
 
@@ -30,43 +29,53 @@ from .ffpoly import (
     root_order,
     substitute_power,
 )
-from .limits import MAX_PROFILE_ENTRIES, MAX_PROFILE_EXPONENT, InputError, ScaleLimitError
+from .limits import (
+    MAX_PROFILE_ENTRIES,
+    MAX_PROFILE_EXPONENT,
+    InputError,
+    ScaleLimitError,
+    clip,
+)
 from .numtheory import divisors, factorint, totient
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ButlerEntry:
-    degree: int
-    count: int
-    root_order: int
+class ButlerEntry(Record):
+    __slots__ = ("degree", "count", "root_order")
+
+    def __init__(self, degree: int, count: int, root_order: int):
+        self._set(degree, count, root_order)
 
 
-@dataclass(frozen=True)
-class ButlerProfile:
+class ButlerProfile(Record):
     """Degrees, counts and root orders of the irreducible factors of f(x^m),
     computed from the order of the roots of f without factoring anything."""
 
-    entries: tuple[ButlerEntry, ...]
-    m1: int
-    m2: int
+    __slots__ = ("entries", "m1", "m2")
+
+    def __init__(self, entries: tuple[ButlerEntry, ...], m1: int, m2: int):
+        self._set(entries, m1, m2)
 
     def total_degree(self) -> int:
         return sum(e.degree * e.count for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TwoPower:
+class TwoPower(Record):
     """f(x^2) = f1 * f2 with distinct monic irreducibles of degree deg f."""
 
-    f1: Poly
-    f2: Poly
+    __slots__ = ("f1", "f2")
+
+    def __init__(self, f1: Poly, f2: Poly):
+        self._set(f1, f2)
 
 
-@dataclass(frozen=True)
-class SkewTwoPower:
+class SkewTwoPower(Record):
     """f(x^2) itself irreducible."""
 
-    f_of_x2: Poly
+    __slots__ = ("f_of_x2",)
+
+    def __init__(self, f_of_x2: Poly):
+        self._set(f_of_x2)
 
 
 class ReciprocalFamily(enum.Enum):
@@ -90,7 +99,7 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     if m < 1:
         raise InputError("m must be positive")
     if m > MAX_PROFILE_EXPONENT:
-        raise ScaleLimitError(f"m = {m} exceeds the limit {MAX_PROFILE_EXPONENT}")
+        raise ScaleLimitError(f"m = {clip(m)} exceeds the limit {MAX_PROFILE_EXPONENT}")
     q = f.field.q
     if int_gcd(m, q) != 1:
         raise InputError(f"gcd({m}, {q}) != 1")
@@ -206,7 +215,7 @@ def _paired_family(f: Poly, pairing, label: str) -> ReciprocalFamily:
     neither factor is fixed.
     """
     if pairing(f) != f:
-        raise InputError(f"{f} is not {label}")
+        raise InputError(f"{clip(f)} is not {label}")
     cls = classify2(f)
     if isinstance(cls, SkewTwoPower):
         return ReciprocalFamily.SKEW

@@ -14,18 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .brute_oracle import (
-    GroupSpec,
-    build_table,
-    class_data_of_element,
-    conjugacy_classes,
-    representative_index,
-    square_fiber_counts,
-)
 from .ffpoly import (
     Poly,
     conj_reciprocal,
@@ -52,14 +43,16 @@ from .power_poly import (
     classify2_star,
     classify2_tilde,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SquareRootClassList:
+class SquareRootClassList(Record):
     """The classes whose square is the base class."""
 
-    base: ClassData
-    roots: tuple[ClassData, ...]
+    __slots__ = ("base", "roots")
+
+    def __init__(self, base: ClassData, roots: tuple[ClassData, ...]):
+        self._set(base, roots)
 
     @property
     def count(self) -> int:
@@ -84,17 +77,19 @@ class ClosedFormUndefined(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    subject: str
-    values: tuple[tuple[str, str], ...]
-    mismatches: tuple[str, ...]
+class AuditRecord(Record):
+    __slots__ = ("subject", "values", "mismatches")
+
+    def __init__(self, subject: str, values: tuple[tuple[str, str], ...],
+                 mismatches: tuple[str, ...]):
+        self._set(subject, values, mismatches)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    scope: str
-    records: tuple[AuditRecord, ...]
+class AuditReport(Record):
+    __slots__ = ("scope", "records")
+
+    def __init__(self, scope: str, records: tuple[AuditRecord, ...]):
+        self._set(scope, records)
 
     @property
     def flagged(self) -> int:
@@ -373,6 +368,13 @@ def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditRep
     oracle_fibers = None
     table = None
     if include_oracle:
+        from .brute_oracle import (
+            GroupSpec,
+            build_table,
+            representative_index,
+            square_fiber_counts,
+        )
+
         table = build_table(GroupSpec("gl", n, q))
         oracle_fibers = square_fiber_counts(table)
     for data in enumerate_classes(n, q):
@@ -414,6 +416,14 @@ def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
     """Existence predicate vs oracle on every class of the group of the
     given kind: "sp" for Sp_n(q), "u" for U_n(q^2), n the matrix size.
     On Sp the -I class is expected to be flagged."""
+    from .brute_oracle import (
+        GroupSpec,
+        build_table,
+        class_data_of_element,
+        conjugacy_classes,
+        square_fiber_counts,
+    )
+
     spec = GroupSpec(kind, n, q)
     table = build_table(spec)
     fibers = square_fiber_counts(table)

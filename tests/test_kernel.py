@@ -190,6 +190,38 @@ def test_importing_the_cli_builds_no_field_tables():
     assert out.stdout.split() == ["0", "4"]
 
 
+def test_query_verbs_load_only_the_code_they_run():
+    probe = (
+        "import contextlib, io, sys\n"
+        "import squarefibers.cli as cli\n"
+        "DEFERRED = ('dataclasses', 'inspect', 'datetime', 'csv', 'squarefibers.brute_oracle',\n"
+        "            'squarefibers.matrices', 'squarefibers.real_classes')\n"
+        "def loaded():\n"
+        "    return ' '.join(m for m in DEFERRED if m in sys.modules) or '-'\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return str(cli.run(list(argv)))\n"
+        "print(loaded())\n"
+        "codes = [\n"
+        "    run('sqrt-count', '--group', 'gl', '--q', '3', '--class',\n"
+        "        '{\"entries\": [{\"poly\": \"1,1\", \"partition\": \"1^2\"}]}'),\n"
+        "    run('classify-poly', '--q', '9', '--poly', '4,1', '--m', '2'),\n"
+        "    run('classes', '--n', '2', '--q', '3'),\n"
+        "]\n"
+        "print(loaded(), *codes)\n"
+        "codes = [run('oracle', '--kind', 'gl', '--n', '2', '--q', '3', '--report', 'real'),\n"
+        "         run('real-classes', '--n', '2', '--q', '3')]\n"
+        "print(*codes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(squarefibers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    # the oracle and the real-class code load only in the verbs that run them
+    assert out.stdout.splitlines() == ["-", "- 0 0 0", "0 0"]
+
+
 @pytest.mark.parametrize("q", [5, 9])
 def test_pow_mod_builds_the_residue_ring_once_per_modulus(q):
     F = field_from_order(q)
