@@ -35,7 +35,7 @@ from .limits import (
     clip,
     exceeds,
 )
-from .numtheory import factorint, n_order
+from .numtheory import factorint
 from .records import Record
 
 
@@ -589,15 +589,6 @@ class Poly(Record):
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def derivative(self) -> "Poly":
-        F = self.field
-        return Poly(
-            F,
-            tuple(F.mul(i % F.p, c) for i, c in enumerate(self.coeffs) if i)
-            if F.k > 1
-            else tuple((i * c) % F.p for i, c in enumerate(self.coeffs) if i),
-        )
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
 
@@ -692,8 +683,8 @@ def is_irreducible(f: Poly) -> bool:
 
     f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
     i <= d/2, which is exactly when the distinct-degree split yields f
-    itself first; the first yield precedes any division, so the test is
-    exact for f that is not squarefree too.  Polynomials already proven
+    itself first; the first yield precedes any division, so the test does
+    no more than Ben-Or's gcds.  Polynomials already proven
     irreducible are answered from ``_PROVEN_IRREDUCIBLE`` without a test.
     """
     _require_monic(f)
@@ -705,46 +696,16 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _pth_root(f: Poly) -> Poly:
-    # f with zero derivative is g(x^p); recover g by taking p-th roots
-    # of the surviving coefficients (Frobenius is invertible on F_q).
-    F = f.field
-    p = F.p
-    root_pow = p ** (F.k - 1)
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(F.pow(f.coeffs[i], root_pow) if f.coeffs[i] else 0)
-    return Poly(F, tuple(out))
-
-
-def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    """Split monic f into (squarefree monic, multiplicity) pieces.
-
-    Pieces need not be pairwise coprime; the caller merges at the
-    irreducible level.  Product of piece^mult equals f.
-    """
-    out: list[tuple[Poly, int]] = []
-    stack = [(f, 1)]
-    while stack:
-        g, mult = stack.pop()
-        if g.degree == 0:
-            continue
-        d = g.derivative()
-        if d.is_zero():
-            stack.append((_pth_root(g), mult * g.field.p))
-            continue
-        c = gcd(g, d)
-        if c.degree == 0:
-            out.append((g, mult))
-        else:
-            stack.append((c, mult))
-            stack.append(((g // c).monic(), mult))
-    return out
-
-
 def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
-    """Yield (product of all irreducible factors of degree d, d) for squarefree
+    """Yield (product of the distinct irreducible factors of degree d, d) for
     monic f, in increasing d.
+
+    x^(q^d) - x is squarefree, so its gcd with rest is too; once every factor
+    of degree below d has left rest with its whole multiplicity, that gcd is
+    the product of the distinct degree-d factors, and each of them leaves
+    rest with its multiplicity before d grows.  What remains when no factor
+    of degree <= deg(rest)/2 is left is irreducible, as a product or a proper
+    power always has one.
 
     x^(q^d) is kept as a residue of ``_residue_ring(rest)`` from one degree
     to the next; it is decoded for each gcd and encoded again only when
@@ -767,7 +728,9 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
         h = gcd(Poly(F, tuple(c)), rest)
         if h.degree > 0:
             yield h, d
-            rest = (rest // h).monic()
+            while h.degree > 0:  # h keeps the factors that still divide rest
+                rest = rest // h
+                h = gcd(h, rest)
             w = None
     if rest.degree > 0:
         yield rest, rest.degree
@@ -813,32 +776,31 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
 def factorize(f: Poly) -> list[tuple[Poly, int]]:
     """Full factorization of a monic polynomial into monic irreducibles.
 
-    Returns (factor, multiplicity) pairs sorted by (degree, coefficient
-    tuple); the recomposed product is asserted to equal the input.
+    The distinct-degree split (:func:`_distinct_degree`) runs on f itself,
+    Cantor-Zassenhaus splits each of its products, and each irreducible's
+    multiplicity is counted by division.  Returns (factor, multiplicity)
+    pairs sorted by (degree, coefficient tuple); the recomposed product is
+    asserted to equal the input.
     """
     _require_monic(f)
-    F = f.field
-    factors: dict[Poly, int] = {}
-    coeffs = f.coeffs
-    shift = 0
-    while coeffs[shift] == 0:
-        shift += 1
-    if shift:
-        factors[poly_x(F)] = shift
-        f_rem = Poly(F, coeffs[shift:])
-    else:
-        f_rem = f
-    if f_rem.degree >= 1:
-        for part, mult in _squarefree_parts(f_rem):
-            for prod, d in _distinct_degree(part):
-                for irr in _equal_degree(prod, d):
-                    factors[irr] = factors.get(irr, 0) + mult
-    result = sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
-    check = poly_one(F)
+    result = []
+    rest = f
+    for prod, d in _distinct_degree(f):
+        for irr in _equal_degree(prod, d):
+            mult = 0
+            while True:
+                quot, rem = divmod(rest, irr)
+                if not rem.is_zero():
+                    break
+                rest = quot
+                mult += 1
+            result.append((irr, mult))
+    result.sort(key=lambda kv: (kv[0].degree, kv[0].coeffs))
+    check = poly_one(f.field)
     for g, m in result:
         for _ in range(m):
             check = check * g
-    assert check == Poly(F, coeffs), "factorization failed to recompose"
+    assert check == f, "factorization failed to recompose"
     _PROVEN_IRREDUCIBLE.update(g for g, _ in result)
     return result
 
@@ -924,13 +886,10 @@ def _subfield_codes(field: Field, big: Field) -> dict[int, int]:
     if field.k > 1:
         exp = big._tables()[0]
         step = (big.q - 1) // (field.q - 1)
-        modulus = field.modulus_coeffs
+        modulus = Poly(big, field.modulus_coeffs)  # F_p codes, alike in big
         for j in range(field.q - 1):
             r = exp[j * step]
-            value = 0
-            for c in reversed(modulus):
-                value = big.add(big.mul(value, r), c)
-            if not value:
+            if not evaluate(modulus, r):
                 break
         else:
             raise RuntimeError("no root of the modulus in the extension")  # unreachable
@@ -945,6 +904,15 @@ def _subfield_codes(field: Field, big: Field) -> dict[int, int]:
         codes[image] = a
     assert len(codes) == field.q, "the subfield embedding is not injective"
     return codes
+
+
+def evaluate(f: Poly, a: int) -> int:
+    """f(a), by Horner's rule."""
+    F = f.field
+    v = 0
+    for c in reversed(f.coeffs):
+        v = F.add(F.mul(v, a), c)
+    return v
 
 
 def substitute_power(f: Poly, m: int) -> Poly:
@@ -997,39 +965,26 @@ def root_order(f: Poly) -> int:
     return t
 
 
-def mult_order(s: int, q: int) -> int:
-    """Least r >= 1 with q^r = 1 mod s; requires gcd(s, q) = 1."""
-    if s < 1:
-        raise InputError("modulus must be positive")
-    if int_gcd(s, q) != 1:
-        raise InputError(f"gcd({s}, {q}) != 1")
-    return n_order(q, s)
-
-
 @lru_cache(maxsize=None)
 def minimal_polynomial_of_power(f: Poly) -> Poly:
     """Minimal polynomial over F_q of beta^2, beta any root of f, a monic
     irreducible other than x.
 
-    Computed by root squaring (Dandelin-Graeffe): for f monic of degree d,
-    (-1)^d f(x) f(-x) = G(x^2) with G = prod (y - beta_i^2) over the
-    roots beta_i of f.  G is a power of the minimal polynomial P of
-    beta^2, and [F_q(beta) : F_q(beta^2)] <= 2, so either G is squarefree
-    and P = G (degree d), or G = P^2 and P = gcd(G, G') (degree d/2).  For
-    odd d only the first case can occur, and the gcd is skipped.
+    The degree of beta^2 halves exactly when -beta is a conjugate of beta,
+    that is when f(-x) = f(x): every odd coefficient of f is 0.  Then
+    f = P(x^2) with deg P = d/2 and P(beta^2) = 0, so P, the even-index
+    coefficients of f, is the minimal polynomial.  Otherwise the beta_i^2
+    over the roots beta_i of f are distinct, and root squaring
+    (Dandelin-Graeffe) gives their product G: for f monic of degree d,
+    (-1)^d f(x) f(-x) = G(x^2).
     """
     require_irreducible_not_x(f)
     F = f.field
     a = f.coeffs
+    if not any(a[1::2]):
+        return Poly(F, a[::2])
     minus = [F.neg(c) if i % 2 else c for i, c in enumerate(a)]  # f(-x)
     h = _mul(F, a, minus)
     assert not any(h[1::2]), "f(x) f(-x) has an odd-degree term"
     g = h[::2]
-    if f.degree % 2:
-        return Poly(F, tuple(F.neg(c) for c in g))
-    G = Poly(F, tuple(g))
-    P = gcd(G, G.derivative())
-    if P.is_one():
-        return G
-    assert P * P == G, "root-squared polynomial is neither squarefree nor a square"
-    return P
+    return Poly(F, tuple(F.neg(c) for c in g) if f.degree % 2 else tuple(g))

@@ -20,8 +20,8 @@ from . import ffpoly
 from .ffpoly import (
     Poly,
     conj_reciprocal,
+    evaluate,
     gcd,
-    mult_order,
     poly_one,
     pow_mod,
     reciprocal,
@@ -36,7 +36,7 @@ from .limits import (
     ScaleLimitError,
     clip,
 )
-from .numtheory import divisors, factorint, totient
+from .numtheory import divisors, factorint, n_order, totient
 from .records import Record
 
 
@@ -118,7 +118,7 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     entries = []
     for e in divisors(m1):
         order = e * m2 * t
-        degree = mult_order(order, q)
+        degree = n_order(q, order)
         num = f.degree * m2 * totient(e)
         count, rem = divmod(num, degree)
         assert rem == 0, "factor count is not integral"
@@ -168,7 +168,7 @@ def classify2(f: Poly):
     d = f.degree
     g = substitute_power(f, 2)
     shifts = range(min(F.q, _SHIFT_TRIES))
-    a = next((a for a in shifts if not F.is_square(_value(f, F.mul(a, a)))), 0)
+    a = next((a for a in shifts if not F.is_square(evaluate(f, F.mul(a, a)))), 0)
     s = pow_mod(Poly(F, (a, 1)), (F.q**d - 1) // 2, g)
     one = poly_one(F)
     plus, minus = gcd(s - one, g), gcd(s + one, g)
@@ -188,15 +188,6 @@ def classify2(f: Poly):
     assert f1 * f2 == g, "f(x^2) failed to recompose"
     ffpoly._PROVEN_IRREDUCIBLE.update((f1, f2))
     return TwoPower(f1, f2)
-
-
-def _value(f: Poly, a: int) -> int:
-    """f(a), by Horner's rule."""
-    F = f.field
-    v = 0
-    for c in reversed(f.coeffs):
-        v = F.add(F.mul(v, a), c)
-    return v
 
 
 def is_self_reciprocal(f: Poly) -> bool:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .ffpoly import mult_order
 from .gl_classes import (
     class_size,
     element_order_of_class,
@@ -26,7 +25,7 @@ from .gl_classes import (
     series_pow,
 )
 from .limits import InputError
-from .numtheory import divisors, totient
+from .numtheory import divisors, n_order, totient
 from .square_fibers import AuditRecord, AuditReport, count_square_roots
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
@@ -76,7 +75,7 @@ def count_unity_roots_gf(n: int, q: int, M: int) -> int:
         raise InputError("the generating-function route needs gcd(M, q) = 1")
     series = [1] + [0] * n
     for d in divisors(M):
-        e = mult_order(d, q)
+        e = n_order(q, d)
         phi = totient(d)
         assert phi % e == 0, "order must divide the totient"
         inner = [0] * (n + 1)

@@ -110,9 +110,11 @@ def square_class(data: ClassData) -> ClassData:
     characteristic squaring is a bijection on unipotent parts, which is
     the deg-preserved case with P = P' = x - 1.
 
-    P' comes from :func:`minimal_polynomial_of_power` by root squaring
-    (one product P(x) P(-x) and one gcd); each entry's kind is then
-    checked independently against ``classify2``'s factorization of P'(x^2).
+    P' comes from :func:`minimal_polynomial_of_power`: P's even-index
+    coefficients when P has no odd-degree term, else root squaring (one
+    product P(x) P(-x)); each entry's kind is then checked independently
+    against ``classify2``'s factorization of P'(x^2).  A halved entry must
+    be the skew case: P'(x^2) irreducible and equal to P.
     """
     merged: dict[Poly, dict[int, int]] = {}
 

@@ -3,6 +3,7 @@ against trial division, and randomized properties."""
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from squarefibers.ffpoly import (
     is_irreducible,
     minimal_polynomial_of_power,
     monic_irreducibles,
-    mult_order,
     poly_one,
     reciprocal,
     root_order,
@@ -33,7 +33,7 @@ from squarefibers.limits import (
     InputError,
     ScaleLimitError,
 )
-from squarefibers.numtheory import factorint
+from squarefibers.numtheory import factorint, n_order
 
 
 # -- fields ------------------------------------------------------------------
@@ -187,6 +187,32 @@ def test_factorize_equals_trial_division_exhaustive(q, max_deg, monkeypatch):
                 for _ in range(m):
                     check = check * g
             assert check == f
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49])
+def test_factorize_multiplicities_divisible_by_p_over_extension_fields(q):
+    # A multiplicity divisible by p makes f in part a p-th power, whose
+    # coefficients over F_{p^k}, k > 1, Frobenius does not fix; the exhaustive
+    # audit above covers only prime fields, where Frobenius is the identity.
+    field = field_from_order(q)
+    p = field.p
+    pool = monic_irreducibles(field, 1) + monic_irreducibles(field, 2)
+    multiplicities = (1, p - 1, p, p + 1, 2 * p, p * p)
+    rng = random.Random(q)
+    cases = 0
+    while cases < 35:
+        factors = sorted(
+            zip(rng.sample(pool, rng.choice((2, 3))), rng.choices(multiplicities, k=3)),
+            key=lambda kv: (kv[0].degree, kv[0].coeffs),
+        )
+        if sum(g.degree * m for g, m in factors) > 64:
+            continue
+        f = poly_one(field)
+        for g, m in factors:
+            for _ in range(m):
+                f = f * g
+        assert factorize(f) == factors, f
+        cases += 1
 
 
 def _ben_or_scan(field, d):
@@ -408,15 +434,7 @@ def test_root_order_divides_and_determines_degree(q):
                 continue
             t = root_order(f)
             assert (q**d - 1) % t == 0
-            assert mult_order(t, q) == d
-
-
-def test_mult_order_examples():
-    assert mult_order(4, 3) == 2
-    assert mult_order(8, 3) == 2
-    assert mult_order(1, 7) == 1
-    with pytest.raises(InputError):
-        mult_order(6, 3)
+            assert n_order(q, t) == d
 
 
 def test_minimal_polynomial_of_power(F3):

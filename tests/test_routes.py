@@ -1,0 +1,137 @@
+"""The independent routes to each number stay independent.
+
+Each route runs on small inputs under a ``sys.setprofile`` spy that records
+every ``squarefibers`` function it reaches, and the test asserts which
+functions it must not reach.  Before a route runs its inputs are built, every
+lru_cache of the package is cleared (so no cached answer hides a call), and
+the proven-irreducible set starts empty (so no recorded verdict skips a
+test).
+"""
+
+import sys
+
+import pytest
+
+from squarefibers import cli, ffpoly
+from squarefibers.ffpoly import field_from_order, monic_irreducibles, substitute_power
+from squarefibers.gl_classes import enumerate_classes
+from squarefibers.power_poly import classify2
+from squarefibers.real_classes import (
+    count_unity_roots_gf,
+    real_class_count_direct,
+    real_class_count_ms,
+)
+from squarefibers.square_fibers import count_square_roots
+
+# Fields are interned by these two caches; clearing them would make a second
+# instance of a field that is already in use.
+_KEPT_CACHES = {ffpoly.field_make, ffpoly.field_from_order}
+
+
+def _clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("squarefibers."):
+            continue
+        for fn in vars(module).values():
+            if (
+                hasattr(fn, "cache_clear")
+                and getattr(fn, "__module__", None) == name
+                and fn not in _KEPT_CACHES
+            ):
+                fn.cache_clear()
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """reached(route) runs route() and returns the ``module.qualname`` of
+    every package function it called; caches are cleared again afterwards,
+    so none keeps a verdict the restored proven set lacks."""
+
+    def run(route) -> set[str]:
+        _clear_caches()
+        monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
+        names: set[str] = set()
+
+        def spy(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "")
+                if module.startswith("squarefibers."):
+                    names.add(f"{module[len('squarefibers.'):]}.{frame.f_code.co_qualname}")
+
+        sys.setprofile(spy)
+        try:
+            route()
+        finally:
+            sys.setprofile(None)
+        return names
+
+    yield run
+    _clear_caches()
+
+
+def _in_module(names: set[str], module: str) -> set[str]:
+    return {name for name in names if name.startswith(module + ".")}
+
+
+def _irreducibles_not_x(q: int, max_degree: int):
+    field = field_from_order(q)
+    return [
+        f
+        for d in range(1, max_degree + 1)
+        for f in monic_irreducibles(field, d)
+        if f.coeffs != (0, 1)
+    ]
+
+
+def test_direct_real_count_reaches_no_fiber_count(reached):
+    names = reached(lambda: real_class_count_direct(3, 3))
+    assert "real_classes.real_class_count_direct" in names
+    assert "square_fibers.count_square_roots" not in names
+    assert "real_classes.s2_cardinality" not in names
+
+
+def test_murray_sambale_count_reaches_no_inverse_class(reached):
+    names = reached(lambda: real_class_count_ms(3, 3))
+    assert "real_classes.s2_cardinality" in names
+    assert "gl_classes.inverse_class" not in names
+
+
+def test_q_series_count_reaches_no_class_walk(reached):
+    names = reached(lambda: count_unity_roots_gf(3, 3, 4))
+    assert "real_classes.count_unity_roots_gf" in names
+    assert "gl_classes.enumerate_classes" not in names
+
+
+def test_classify2_reaches_no_root_order(reached):
+    polys = _irreducibles_not_x(9, 3)
+    names = reached(lambda: [classify2(f) for f in polys])
+    assert "power_poly.classify2" in names
+    assert "ffpoly.root_order" not in names
+
+
+def test_fiber_count_reaches_neither_classify2_nor_factorize(reached):
+    classes = list(enumerate_classes(3, 3))
+    names = reached(lambda: [count_square_roots(data) for data in classes])
+    assert "square_fibers.count_square_roots" in names
+    assert "power_poly.classify2" not in names
+    assert "ffpoly.factorize" not in names
+
+
+def test_factorize_reaches_no_root_order_nor_butler_profile(reached):
+    # factorize is the reference that Butler profiles are audited against
+    polys = [substitute_power(f, m) for f in _irreducibles_not_x(9, 2) for m in (2, 4)]
+    names = reached(lambda: [ffpoly.factorize(f) for f in polys])
+    assert "ffpoly.factorize" in names
+    assert "ffpoly.root_order" not in names
+    assert "power_poly.butler_profile" not in names
+
+
+@pytest.mark.parametrize("report", ["fibers", "real", "s2"])
+def test_oracle_reaches_no_class_theory(reached, capsys, report):
+    argv = ["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", report]
+    names = reached(lambda: cli.run(argv))
+    capsys.readouterr()
+    assert "brute_oracle.build_table" in names
+    assert _in_module(names, "gl_classes") <= {"gl_classes.gl_order"}
+    for module in ("square_fibers", "real_classes", "power_poly"):
+        assert not _in_module(names, module), module
