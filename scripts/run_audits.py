@@ -14,12 +14,7 @@ import sys
 
 from squarefibers.cli import report_to_json
 from squarefibers.real_classes import audit_real_counts
-from squarefibers.square_fibers import (
-    audit_existence,
-    audit_square_counts,
-    has_square_root_symplectic,
-    has_square_root_unitary,
-)
+from squarefibers.square_fibers import audit_existence, audit_square_counts
 
 SQUARE_AUDITS = [(1, 3), (2, 3), (3, 3), (2, 5)]
 REAL_AUDITS = [(1, 3), (2, 3), (3, 3), (2, 5)]
@@ -46,9 +41,9 @@ def main() -> int:
     for n, q in SQUARE_AUDITS:
         reports.append(audit_square_counts(n, q, include_oracle=True))
     for n, q in SP_AUDITS:
-        reports.append(audit_existence("sp", has_square_root_symplectic, n, q))
+        reports.append(audit_existence("sp", n, q))
     for n, q in U_AUDITS:
-        reports.append(audit_existence("u", has_square_root_unitary, n, q))
+        reports.append(audit_existence("u", n, q))
     for n, q in REAL_AUDITS:
         reports.append(audit_real_counts(n, q))
 

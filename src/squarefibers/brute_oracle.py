@@ -766,9 +766,12 @@ def load_table(spec: GroupSpec, path: str) -> ElementTable:
     """Read a cache written by save_table.  The header must match spec,
     the file must hold exactly the element count it declares, and the
     codes must be the group (checked through its generators, see
-    _build_walks); InputError otherwise.  A group that enumerate_group
-    would refuse is refused first, with ScaleLimitError."""
+    _build_walks); InputError otherwise, and before any open when path is
+    not a regular file (a FIFO would block the open).  A group that
+    enumerate_group would refuse is refused first, with ScaleLimitError."""
     expected = _check_limits(spec)
+    if not os.path.isfile(path):
+        raise InputError(f"cache {path} is not a regular file")
     width = _cache_width(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from . import __version__
-from .ffpoly import substitute_power
+from .ffpoly import require_irreducible_not_x, substitute_power
 from .formats import (
     class_data_from_json,
     class_data_to_json,
@@ -125,6 +125,7 @@ def _family_text(family: ReciprocalFamily, star: bool) -> str:
 def _cmd_classify_poly(args) -> tuple[dict, list[str]]:
     field = field_from_text(args.q)
     f = poly_from_text(field, args.poly)
+    require_irreducible_not_x(f)
     cls = classify2(f)
     payload = {
         "field": str(field.q),
@@ -260,10 +261,8 @@ def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
 def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
     if args.group == "gl":
         report = audit_square_counts(args.n, args.q, include_oracle=args.oracle)
-    elif args.group == "sp":
-        report = audit_existence("sp", has_square_root_symplectic, args.n, args.q)
     else:
-        report = audit_existence("u", has_square_root_unitary, args.n, args.q)
+        report = audit_existence(args.group, args.n, args.q)
     return report_to_json(report), _report_warnings(report)
 
 

@@ -666,34 +666,24 @@ def require_irreducible_not_x(f: Poly) -> None:
     raise InputError(f"{clip(f)} over F_{f.field.q} {problem}")
 
 
-# Polynomials proven irreducible in this process: every output of
-# monic_irreducibles (each is built as a minimal polynomial), every positive
-# verdict of is_irreducible, every factor that factorize returns and every
-# factor of f(x^2) that power_poly.classify2 returns.
-# Reducible verdicts are never kept: the set only ever answers "irreducible".
-_PROVEN_IRREDUCIBLE: set[Poly] = set()
-
 # Root order of every polynomial listed by monic_irreducibles, which knows it
 # from the exponent of the root it was built from; root_order reads it first.
 _ROOT_ORDERS: dict[Poly, int] = {}
 
 
+@lru_cache(maxsize=None)
 def is_irreducible(f: Poly) -> bool:
     """Deterministic irreducibility test (Ben-Or).
 
     f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
     i <= d/2, which is exactly when the distinct-degree split yields f
     itself first; the first yield precedes any division, so the test does
-    no more than Ben-Or's gcds.  Polynomials already proven
-    irreducible are answered from ``_PROVEN_IRREDUCIBLE`` without a test.
+    no more than Ben-Or's gcds.  Only the doors for outside input call it
+    (through require_irreducible_not_x); the cache answers the polynomials
+    that the requests of one session repeat.
     """
     _require_monic(f)
-    if f in _PROVEN_IRREDUCIBLE:
-        return True
-    if next(_distinct_degree(f)) != (f, f.degree):
-        return False
-    _PROVEN_IRREDUCIBLE.add(f)
-    return True
+    return next(_distinct_degree(f)) == (f, f.degree)
 
 
 def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
@@ -801,7 +791,6 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
         for _ in range(m):
             check = check * g
     assert check == f, "factorization failed to recompose"
-    _PROVEN_IRREDUCIBLE.update(g for g, _ in result)
     return result
 
 
@@ -815,8 +804,7 @@ def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
     orbit, expanded with F_Q's log tables.  The coefficients lie in the
     subfield F_q and go back to ``field``'s encoding through
     :func:`_subfield_codes`.  The roots have order (Q - 1) / gcd(e, Q - 1),
-    which is recorded for :func:`root_order`; every output is recorded as
-    proven irreducible.  Needs Q <= MAX_FIELD_ORDER.
+    which is recorded for :func:`root_order`.  Needs Q <= MAX_FIELD_ORDER.
     """
     if d < 1:
         raise InputError("degree must be positive")
@@ -870,7 +858,6 @@ def monic_irreducibles(field: Field, d: int) -> tuple[Poly, ...]:
                 coeffs = new
             record(tuple(code[c] for c in coeffs), e)
     out.sort(key=lambda f: f.coeffs)
-    _PROVEN_IRREDUCIBLE.update(out)
     return tuple(out)
 
 
@@ -949,12 +936,12 @@ def root_order(f: Poly) -> int:
     """Multiplicative order of the roots of a monic irreducible f != x.
 
     All roots are conjugate so they share one order t; t divides
-    q^deg(f) - 1 and deg(f) is the multiplicative order of q mod t.
+    q^deg(f) - 1 and deg(f) is the multiplicative order of q mod t.  f is
+    not checked: a reducible f gives a meaningless order.
     """
     t = _ROOT_ORDERS.get(f)
     if t is not None:
         return t
-    require_irreducible_not_x(f)
     q = f.field.q
     n = q**f.degree - 1
     t = n
@@ -976,9 +963,8 @@ def minimal_polynomial_of_power(f: Poly) -> Poly:
     coefficients of f, is the minimal polynomial.  Otherwise the beta_i^2
     over the roots beta_i of f are distinct, and root squaring
     (Dandelin-Graeffe) gives their product G: for f monic of degree d,
-    (-1)^d f(x) f(-x) = G(x^2).
+    (-1)^d f(x) f(-x) = G(x^2).  f is not checked.
     """
-    require_irreducible_not_x(f)
     F = f.field
     a = f.coeffs
     if not any(a[1::2]):

@@ -104,10 +104,9 @@ def gamma_exponent(lam: Partition) -> int:
     With (a_j, m_j) the part/multiplicity pairs in increasing part order,
     this is 2 * sum_{u<v} a_u m_u m_v + sum_j (a_j - 1) m_j^2;
     equivalently sum_i (lam'_i)^2 - sum_j m_j^2 for the conjugate
-    partition lam', the form the tests compare against.
+    partition lam', the form the tests compare against.  lam must be
+    nonempty; that is not checked.
     """
-    if lam.is_empty():
-        raise InputError("gamma_exponent of the empty partition")
     pairs = lam.pairs
     total = 0
     for u, (a_u, m_u) in enumerate(pairs):
@@ -118,9 +117,7 @@ def gamma_exponent(lam: Partition) -> int:
 
 
 def halve_multiplicities(lam: Partition) -> Partition:
-    """Halve every multiplicity; an odd multiplicity is an error (it means
-    the skew square-root branch is empty for this block)."""
-    for part, mult in lam.pairs:
-        if mult % 2:
-            raise ValueError(f"odd multiplicity at part {part}")
+    """Halve every multiplicity.  Every multiplicity must be even (an odd
+    one means the skew square-root branch is empty for this block); that is
+    not checked, so callers test all_multiplicities_even first."""
     return Partition(tuple((a, m // 2) for a, m in lam.pairs))

@@ -25,7 +25,6 @@ from .ffpoly import (
     poly_one,
     pow_mod,
     reciprocal,
-    require_irreducible_not_x,
     root_order,
     substitute_power,
 )
@@ -94,8 +93,8 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     m1 the factors of degree M(e*m2*t; q) with roots of order e*m2*t
     number deg(f)*m2*phi(e)/M(e*m2*t; q).  The number of divisors of m1
     is checked against MAX_PROFILE_ENTRIES before any order is taken.
+    f must be a monic irreducible other than x; it is not checked.
     """
-    require_irreducible_not_x(f)
     if m < 1:
         raise InputError("m must be positive")
     if m > MAX_PROFILE_EXPONENT:
@@ -161,9 +160,9 @@ def classify2(f: Poly):
     quadratic characters differ and plus, minus get one factor each.  The
     verdict never reads that character, only the gcd degrees; any other
     pair of degrees contradicts the odd-characteristic dichotomy and
-    aborts loudly.
+    aborts loudly.  f must be a monic irreducible other than x; it is not
+    checked.
     """
-    require_irreducible_not_x(f)
     F = f.field
     d = f.degree
     g = substitute_power(f, 2)
@@ -174,7 +173,6 @@ def classify2(f: Poly):
     plus, minus = gcd(s - one, g), gcd(s + one, g)
     degrees = plus.degree, minus.degree
     if degrees == (0, 0):
-        ffpoly._PROVEN_IRREDUCIBLE.add(g)
         return SkewTwoPower(g)
     if degrees == (d, d):
         factors = [plus, minus]
@@ -186,7 +184,6 @@ def classify2(f: Poly):
         )
     f1, f2 = sorted(factors, key=lambda h: h.coeffs)
     assert f1 * f2 == g, "f(x^2) failed to recompose"
-    ffpoly._PROVEN_IRREDUCIBLE.update((f1, f2))
     return TwoPower(f1, f2)
 
 
@@ -198,15 +195,14 @@ def is_self_conjugate(f: Poly) -> bool:
     return conj_reciprocal(f) == f
 
 
-def _paired_family(f: Poly, pairing, label: str) -> ReciprocalFamily:
-    """Trichotomy for an f that the pairing fixes.
+def _paired_family(f: Poly, pairing) -> ReciprocalFamily:
+    """Trichotomy for a monic irreducible f != x that the pairing fixes;
+    neither is checked, so callers test pairing(f) == f first.
 
     SKEW when f(x^2) is irreducible; POWER when f(x^2) has a factor of
     degree deg f that the pairing fixes; NEITHER when it splits but
     neither factor is fixed.
     """
-    if pairing(f) != f:
-        raise InputError(f"{clip(f)} is not {label}")
     cls = classify2(f)
     if isinstance(cls, SkewTwoPower):
         return ReciprocalFamily.SKEW
@@ -217,10 +213,10 @@ def _paired_family(f: Poly, pairing, label: str) -> ReciprocalFamily:
 
 def classify2_star(f: Poly) -> ReciprocalFamily:
     """The trichotomy for self-reciprocal irreducibles."""
-    return _paired_family(f, reciprocal, "self-reciprocal")
+    return _paired_family(f, reciprocal)
 
 
 def classify2_tilde(f: Poly) -> ReciprocalFamily:
     """The trichotomy with the conjugate-reciprocal pairing; the field
     must have square order."""
-    return _paired_family(f, conj_reciprocal, "self-conjugate")
+    return _paired_family(f, conj_reciprocal)

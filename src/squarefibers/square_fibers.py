@@ -272,9 +272,9 @@ def closed_form_count(data: ClassData) -> int:
     No correctness is claimed: fractional exponents or half-integral
     block sizes raise ClosedFormUndefined instead of being rounded,
     and audits compare the value against the centralizer-index count.
+    data must be a class with a square root (has_square_root_gl); that is
+    not checked here.
     """
-    if not has_square_root_gl(data):
-        raise InputError("class has no square root")
     q = data.field.q
     total = Fraction(1)
     for f, lam in data.entries:
@@ -322,10 +322,9 @@ def has_square_root_unitary(data: ClassData) -> bool:
     Self-conjugate entries must be tilde-power, or tilde-skew with all
     multiplicities even; non-self-conjugate entries (which come in
     conjugate pairs with equal partitions) follow the plain two-power
-    dichotomy.
+    dichotomy.  The field must have square order: conj_reciprocal raises
+    InputError on any other.
     """
-    if data.field.k % 2:
-        raise InputError("unitary data must live over a square-order field")
     _check_closed(data, conj_reciprocal, "conjugate")
     return all(
         _power_or_even_skew(classify2_tilde(f), lam)
@@ -414,9 +413,10 @@ def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditRep
     return AuditReport(f"gl n={n} q={q} square-map audit", tuple(records))
 
 
-def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
+def audit_existence(kind: str, n: int, q: int) -> AuditReport:
     """Existence predicate vs oracle on every class of the group of the
-    given kind: "sp" for Sp_n(q), "u" for U_n(q^2), n the matrix size.
+    given kind: "sp" for Sp_n(q) against has_square_root_symplectic, "u"
+    for U_n(q^2) against has_square_root_unitary, n the matrix size.
     On Sp the -I class is expected to be flagged."""
     from .brute_oracle import (
         GroupSpec,
@@ -426,6 +426,7 @@ def audit_existence(kind: str, predicate, n: int, q: int) -> AuditReport:
         square_fiber_counts,
     )
 
+    predicate = {"sp": has_square_root_symplectic, "u": has_square_root_unitary}[kind]
     spec = GroupSpec(kind, n, q)
     table = build_table(spec)
     fibers = square_fiber_counts(table)

@@ -42,7 +42,6 @@ from squarefibers.square_fibers import (
     audit_existence,
     audit_square_counts,
     count_square_roots,
-    has_square_root_symplectic,
 )
 
 MASS_SET = [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7)]
@@ -203,7 +202,7 @@ def test_criterion_09_audits_expose_the_printed_formulas():
         for r in report.records:
             values = dict(r.values)
             assert values["oracle_fiber"] == values["centralizer_index_sum"]
-        sp = audit_existence("sp", has_square_root_symplectic, 2, 3)
+        sp = audit_existence("sp", 2, 3)
         sp_flagged = [r for r in sp.records if r.mismatches]
         assert [r.subject for r in sp_flagged] == ["(1,1)->1^2"]
         assert dict(sp_flagged[0].values)["criterion"] == "false"

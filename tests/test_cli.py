@@ -3,6 +3,7 @@ byte-level determinism."""
 
 import hashlib
 import io
+import os
 import tempfile
 import time
 import json
@@ -91,9 +92,20 @@ def test_classify_poly_degree_23_over_the_largest_prime_field():
 
 
 def test_classify_poly_rejects_reducible():
-    code, _, err = invoke(["classify-poly", "--q", "3", "--poly", "2,0,1"])
-    assert code == 2
-    assert "irreducible" in err
+    # both doors for a polynomial refuse it with the same line; past the
+    # door classify2 trusts its input, and on x^2 - 1 it would not return
+    for poly, problem in [
+        ("0,1", "is divisible by x"),
+        ("1,2", "is not monic of degree >= 1"),
+        ("0", "is not monic of degree >= 1"),
+        ("2,0,1", "is not irreducible"),
+    ]:
+        entry = json.dumps({"entries": [{"poly": poly, "partition": "1^1"}]})
+        for argv in (
+            ["classify-poly", "--q", "3", "--poly", poly],
+            ["sqrt-count", "--group", "gl", "--q", "3", "--class", entry],
+        ):
+            assert invoke(argv) == (2, "", f"error: {poly} over F_3 {problem}\n"), argv
 
 
 def test_classes_payload_and_mass():
@@ -476,11 +488,20 @@ def test_oracle_cache_with_one_byte_changed(kind, data):
 
 
 def test_oracle_cache_path_that_cannot_be_used_exits_2(tmp_path):
-    # a missing directory cannot be written, a directory cannot be read
-    for cache in (tmp_path / "missing" / "gl13.sqf", tmp_path):
+    # a missing directory cannot be written; a directory or a FIFO is not a
+    # regular file, and opening the FIFO would block until a writer came
+    caches = [tmp_path / "missing" / "gl13.sqf", tmp_path]
+    if hasattr(os, "mkfifo"):
+        fifo = tmp_path / "gl13.sqf"
+        os.mkfifo(fifo)
+        caches.append(fifo)
+    for cache in caches:
         argv = ["oracle", "--kind", "gl", "--n", "1", "--q", "3", "--report", "fibers",
                 "--cache", str(cache)]
-        assert _one_error_line(*invoke(argv))
+        code, out, err = invoke(argv)
+        assert _one_error_line(code, out, err)
+        if cache.exists():
+            assert err == f"error: cache {cache} is not a regular file\n"
 
 
 @pytest.mark.parametrize("m", [

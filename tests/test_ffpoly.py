@@ -167,10 +167,7 @@ def _smallest_divisor(f, irreducibles):
 
 
 @pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 6)])
-def test_factorize_equals_trial_division_exhaustive(q, max_deg, monkeypatch):
-    # With an empty proven set, and f tested before factorize can record
-    # it, every is_irreducible verdict below runs Ben-Or's test.
-    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
+def test_factorize_equals_trial_division_exhaustive(q, max_deg):
     field = field_from_order(q)
     reference = _trial_division_reference(field, max_deg)
     for d in range(1, max_deg + 1):
@@ -241,11 +238,9 @@ def _listed_degrees(q):
 
 
 @pytest.mark.parametrize("q", LISTED_FIELDS)
-def test_monic_irreducibles_equal_the_ben_or_scan(q, monkeypatch):
+def test_monic_irreducibles_equal_the_ben_or_scan(q):
     field = field_from_order(q)
     listed = {d: monic_irreducibles(field, d) for d in _listed_degrees(q)}
-    # with an empty proven set, every verdict of the scan runs Ben-Or
-    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
     for d, polys in listed.items():
         assert polys == _ben_or_scan(field, d), (q, d)
 
@@ -303,7 +298,7 @@ def test_monic_irreducibles_past_the_field_bound_raise_at_once(F3):
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_monic_irreducible_counts_match_necklace_formula(q, d, monkeypatch):
+def test_monic_irreducible_counts_match_necklace_formula(q, d):
     field = field_from_order(q)
     polys = monic_irreducibles(field, d)
     necklace = sum(
@@ -311,7 +306,6 @@ def test_monic_irreducible_counts_match_necklace_formula(q, d, monkeypatch):
     ) // d
     assert len(polys) == necklace
     assert list(polys) == sorted(polys, key=lambda f: f.coeffs)
-    monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())  # re-run Ben-Or
     assert all(is_irreducible(f) for f in polys)
 
 
@@ -418,13 +412,6 @@ def test_root_order_examples(F3):
     assert root_order(Poly(F3, (1, 0, 1))) == 4
 
 
-def test_root_order_rejects_x_and_reducible(F3):
-    with pytest.raises(InputError):
-        root_order(Poly(F3, (0, 1)))
-    with pytest.raises(InputError):
-        root_order(Poly(F3, (2, 0, 1)))
-
-
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_root_order_divides_and_determines_degree(q):
     field = field_from_order(q)
@@ -444,13 +431,6 @@ def test_minimal_polynomial_of_power(F3):
     # squaring a root of x^2+1 lands in the prime field
     assert minimal_polynomial_of_power(Poly(F3, (1, 0, 1))) == Poly(F3, (1, 1))
     assert minimal_polynomial_of_power(Poly(F3, (2, 1))) == Poly(F3, (2, 1))
-
-
-def test_minimal_polynomial_of_power_refuses_reducible_input(F3, F5):
-    with pytest.raises(InputError):
-        minimal_polynomial_of_power(Poly(F5, (4, 0, 1)))  # x^2 - 1
-    with pytest.raises(InputError):
-        minimal_polynomial_of_power(Poly(F3, (1, 0, 0, 0, 1)))  # (x^2+x+2)(x^2+2x+2)
 
 
 def _frobenius_orbit_minimal_polynomial(f: Poly, m: int) -> Poly:
@@ -492,54 +472,11 @@ def test_root_squaring_equals_the_frobenius_orbit_expansion(q, max_deg):
     assert kept and halved
 
 
-# -- proven irreducibles --------------------------------------------------------
+# -- reducible input -------------------------------------------------------------
 
 
-def _count_ben_or(monkeypatch) -> list[int]:
-    calls = [0]
-    inner = ffpoly._distinct_degree
-
-    def counting(f):
-        calls[0] += 1
-        return inner(f)
-
-    monkeypatch.setattr(ffpoly, "_distinct_degree", counting)
-    return calls
-
-
-def _guards(f):
-    """The irreducibility guards, past their lru_caches."""
-    return (
-        lambda: root_order.__wrapped__(f),
-        lambda: minimal_polynomial_of_power.__wrapped__(f),
-        lambda: ffpoly.require_irreducible_not_x(f),
-    )
-
-
-@pytest.mark.parametrize("q,d", [(3, 4), (5, 3), (9, 2), (25, 1)])
-def test_guards_run_no_ben_or_on_monic_irreducibles(q, d, monkeypatch):
-    f = monic_irreducibles(field_from_order(q), d)[-1]
-    calls = _count_ben_or(monkeypatch)
-    for guard in _guards(f):
-        guard()
-    assert calls[0] == 0
-
-
-def test_guards_run_no_ben_or_on_factors(F5, monkeypatch):
-    factors = [g for g, _ in factorize(Poly(F5, (1, 0, 0, 0, 0, 0, 1)))]  # x^6 + 1
-    calls = _count_ben_or(monkeypatch)
-    for g in factors:
-        for guard in _guards(g):
-            guard()
-    assert calls[0] == 0
-
-
-def test_reducible_input_still_raises_and_is_never_recorded(F5, monkeypatch):
+def test_reducible_input_still_raises_and_is_never_recorded(F5):
     f = Poly(F5, (4, 0, 1))  # x^2 - 1
-    calls = _count_ben_or(monkeypatch)
-    for guard in _guards(f):
-        with pytest.raises(InputError):
-            guard()
+    with pytest.raises(InputError):
+        ffpoly.require_irreducible_not_x(f)
     assert not is_irreducible(f)
-    assert calls[0] == 4
-    assert f not in ffpoly._PROVEN_IRREDUCIBLE

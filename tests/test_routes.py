@@ -1,11 +1,12 @@
-"""The independent routes to each number stay independent.
+"""The independent routes to each number stay independent, and the fiber
+routes trust their input.
 
 Each route runs on small inputs under a ``sys.setprofile`` spy that records
 every ``squarefibers`` function it reaches, and the test asserts which
-functions it must not reach.  Before a route runs its inputs are built, every
-lru_cache of the package is cleared (so no cached answer hides a call), and
-the proven-irreducible set starts empty (so no recorded verdict skips a
-test).
+functions it must not reach.  Before a route runs its inputs are built and
+every lru_cache of the package is cleared, so no cached answer hides a call.
+Polynomials are checked once, where they enter (``formats`` and the
+``classify-poly`` verb); past that door no route runs an irreducibility test.
 """
 
 import sys
@@ -21,7 +22,11 @@ from squarefibers.real_classes import (
     real_class_count_direct,
     real_class_count_ms,
 )
-from squarefibers.square_fibers import count_square_roots
+from squarefibers.square_fibers import (
+    count_square_roots,
+    square_class,
+    square_root_classes,
+)
 
 # Fields are interned by these two caches; clearing them would make a second
 # instance of a field that is already in use.
@@ -42,14 +47,12 @@ def _clear_caches() -> None:
 
 
 @pytest.fixture
-def reached(monkeypatch):
+def reached():
     """reached(route) runs route() and returns the ``module.qualname`` of
-    every package function it called; caches are cleared again afterwards,
-    so none keeps a verdict the restored proven set lacks."""
+    every package function it called."""
 
     def run(route) -> set[str]:
         _clear_caches()
-        monkeypatch.setattr(ffpoly, "_PROVEN_IRREDUCIBLE", set())
         names: set[str] = set()
 
         def spy(frame, event, arg):
@@ -65,8 +68,7 @@ def reached(monkeypatch):
             sys.setprofile(None)
         return names
 
-    yield run
-    _clear_caches()
+    return run
 
 
 def _in_module(names: set[str], module: str) -> set[str]:
@@ -107,6 +109,25 @@ def test_classify2_reaches_no_root_order(reached):
     names = reached(lambda: [classify2(f) for f in polys])
     assert "power_poly.classify2" in names
     assert "ffpoly.root_order" not in names
+
+
+def test_fiber_routes_run_no_irreducibility_test(reached):
+    # class data and polynomials are irreducible by construction past the door
+    classes = list(enumerate_classes(3, 3))
+    polys = _irreducibles_not_x(9, 3)
+
+    def route():
+        for data in classes:
+            count_square_roots(data)
+            square_root_classes(data)
+            square_class(data)
+        for f in polys:
+            classify2(f)
+
+    names = reached(route)
+    assert "square_fibers.square_class" in names
+    assert "power_poly.classify2" in names
+    assert "ffpoly.is_irreducible" not in names
 
 
 def test_fiber_count_reaches_neither_classify2_nor_factorize(reached):

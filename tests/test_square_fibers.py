@@ -198,11 +198,6 @@ def test_closed_form_undefined_on_odd_multiplicity_two_power(F3):
         closed_form_count(_data(F3, ((2, 1), [(1, 1)])))  # GL_1 identity
 
 
-def test_closed_form_requires_existence(F3):
-    with pytest.raises(InputError):
-        closed_form_count(_data(F3, ((1, 1), [(1, 3)])))
-
-
 # -- unitary / symplectic predicates ---------------------------------------------------
 
 
@@ -250,7 +245,7 @@ def test_gl_audit_flags_exactly_the_closed_form_failures():
 
 
 def test_symplectic_audit_flags_minus_identity():
-    report = audit_existence("sp", has_square_root_symplectic, 2, 3)
+    report = audit_existence("sp", 2, 3)
     flagged = [r for r in report.records if r.mismatches]
     assert len(flagged) == 1
     assert flagged[0].subject == "(1,1)->1^2"
@@ -258,11 +253,11 @@ def test_symplectic_audit_flags_minus_identity():
 
 
 def test_unitary_audit_runs_and_is_internally_consistent():
-    report = audit_existence("u", has_square_root_unitary, 1, 3)
+    report = audit_existence("u", 1, 3)
     assert report.flagged == 0
     # U_2(3): the printed criterion misses the conjugate-pair splits of
     # the order-4 scalars; the audit records exactly those two classes.
-    report = audit_existence("u", has_square_root_unitary, 2, 3)
+    report = audit_existence("u", 2, 3)
     assert report.flagged == 2
     for r in report.records:
         values = dict(r.values)
