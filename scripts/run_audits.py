@@ -9,10 +9,9 @@ either way.  Use --json to dump the raw reports.
 """
 
 import argparse
-import json
 import sys
 
-from squarefibers.cli import report_to_json
+from squarefibers.cli import report_to_json, write_json
 from squarefibers.real_classes import audit_real_counts
 from squarefibers.square_fibers import audit_existence, audit_square_counts
 
@@ -48,8 +47,7 @@ def main() -> int:
         reports.append(audit_real_counts(n, q))
 
     if args.json:
-        json.dump([report_to_json(r) for r in reports], sys.stdout, indent=2)
-        print()
+        write_json([report_to_json(r.scope, r.records) for r in reports], sys.stdout.write)
         return 0
 
     total_flagged = 0

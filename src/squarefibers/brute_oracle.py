@@ -24,6 +24,7 @@ import os
 import struct
 import sys
 from array import array
+from collections import defaultdict
 from functools import lru_cache
 
 from .ffpoly import Field, field_from_order
@@ -424,14 +425,16 @@ class _Walks:
         self.inverse: array | None = None
 
 
-def _places(parts: list[list[int]]) -> tuple[array, list[array]]:
-    """The distinct codes in parts, and parts with each code replaced by
-    its place among them: tables then cover only the codes that occur
-    (q^n may be far above |G|) and are still lists."""
-    distinct = array("i", set().union(*parts))
-    place = {c: i for i, c in enumerate(distinct)}
+def _digit_places(codes, weights: list[int], base: int) -> tuple[array, list[array]]:
+    """For each weight w, the digit c // w % base of every code c, replaced
+    by its place among the distinct digits of all weights (first seen,
+    first placed), and those distinct digits in place order: tables then
+    cover only the digits that occur (q^n may be far above |G|).  One
+    weight's digits are formed at a time."""
+    place = defaultdict(itertools.count().__next__)
     # an array fills faster from a list than from an iterator
-    return distinct, [array("i", list(map(place.__getitem__, p))) for p in parts]
+    parts = [array("i", [place[c // w % base] for c in codes]) for w in weights]
+    return array("i", place), parts
 
 
 def _vector_table(field: Field, m: Matrix, weights: list[int], codes: array) -> list[int]:
@@ -505,7 +508,7 @@ def _build_walks(table: ElementTable) -> _Walks:
     # x g is a sum over the rows of x, h x over its columns
     row_weights = [row_weight**i for i in range(n)]
     col_weights = [q**j for j in range(n)]
-    row_codes, rows = _places([[c // w % row_weight for c in codes] for w in row_weights])
+    row_codes, rows = _digit_places(codes, row_weights, row_weight)
 
     def perm(parts, weights, t) -> list[int]:
         acc = map(t.__getitem__, parts[0])
@@ -559,11 +562,10 @@ def _build_walks(table: ElementTable) -> _Walks:
     flipped = map(spread.__getitem__, rows[0])
     for w, row in zip(col_weights[1:], rows[1:]):
         flipped = map(operator.add, flipped, map(w.__mul__, map(spread.__getitem__, row)))
-    flipped = list(flipped)
+    flipped = array("Q", flipped)
     del rows, spread
-    cols = [[c // w % row_weight for c in flipped] for w in row_weights]
+    col_codes, cols = _digit_places(flipped, row_weights, row_weight)
     del flipped
-    col_codes, cols = _places(cols)
     conj = []
     for a, g in enumerate(gens):  # each permutation is dropped once composed
         h = transpose(mat_inv(field, g))

@@ -5,7 +5,9 @@ command echo, timestamp (null unless --timestamp is given, so output is
 reproducible byte for byte), payload and a warnings list.  Audit
 mismatches are findings, not failures: they surface as warnings and the
 exit code stays 0.  Exit 2 means invalid input, exit 3 means a
-desk-scale bound was refused.
+desk-scale bound was refused.  ``classes`` and ``audit-squares`` write
+each row, in JSON or CSV, as it is computed, so what they print is never
+held in memory; their refusals still come before the first byte.
 
 A verb imports only the code it runs: the query verbs load neither the
 oracle nor the real-class code, and ``datetime`` and ``csv`` load only
@@ -15,9 +17,10 @@ when a run asks for a timestamp or CSV.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -51,15 +54,14 @@ from .power_poly import (
     is_self_reciprocal,
 )
 from .square_fibers import (
-    AuditReport,
     ClosedFormUndefined,
-    audit_square_counts,
-    audit_existence,
+    existence_audit,
     has_square_root_gl,
     has_square_root_symplectic,
     has_square_root_unitary,
     closed_form_count,
     square_class,
+    square_count_audit,
     square_root_classes,
 )
 
@@ -82,32 +84,46 @@ def _envelope(argv: list[str], payload: dict, warnings: list[str], stamp: bool) 
     }
 
 
-def report_to_json(report: AuditReport) -> dict:
-    """The JSON form of an audit report, as the audit verbs print it."""
-    return {
-        "scope": report.scope,
-        "records": [
-            {
+def report_to_json(scope: str, records, warnings: list[str] | None = None) -> dict:
+    """The JSON form of an audit report, as the audit verbs print it.
+
+    The records are drawn from ``records`` one at a time as the writer
+    reaches them, and each mismatch is appended to ``warnings`` as its
+    record passes; the summary, which follows them, is a callable that
+    counts what has passed.
+    """
+    tally = [0, 0]  # records, flagged
+
+    def rows() -> Iterator[dict]:
+        for r in records:
+            tally[0] += 1
+            if r.mismatches:
+                tally[1] += 1
+                if warnings is not None:
+                    warnings.extend(f"{r.subject}: {m}" for m in r.mismatches)
+            yield {
                 "subject": r.subject,
-                "values": {k: v for k, v in r.values},
+                "values": dict(r.values),
                 "mismatches": list(r.mismatches),
             }
-            for r in report.records
-        ],
-        "summary": {
-            "records": str(len(report.records)),
-            "clean": str(report.clean),
-            "flagged": str(report.flagged),
+
+    return {
+        "scope": scope,
+        "records": rows(),
+        "summary": lambda: {
+            "records": str(tally[0]),
+            "clean": str(tally[0] - tally[1]),
+            "flagged": str(tally[1]),
         },
     }
 
 
-def _report_warnings(report: AuditReport) -> list[str]:
-    out = []
-    for r in report.records:
-        for m in r.mismatches:
-            out.append(f"{r.subject}: {m}")
-    return out
+def _started(rows: Iterator) -> Iterator:
+    """rows with its first element drawn now: a refusal raised before the
+    first row then comes before the first byte of output."""
+    for first in rows:
+        return itertools.chain((first,), rows)
+    return iter(())
 
 
 def _family_text(family: ReciprocalFamily, star: bool) -> str:
@@ -180,7 +196,7 @@ def _class_record(data) -> dict:
 
 
 def _cmd_classes(args) -> tuple[dict, list[str]]:
-    records = [_class_record(data) for data in enumerate_classes(args.n, args.q)]
+    records = _started(map(_class_record, enumerate_classes(args.n, args.q)))
     payload = {
         "n": args.n,
         "q": str(args.q),
@@ -191,11 +207,10 @@ def _cmd_classes(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _classes_csv(payload: dict) -> str:
+def _classes_csv(payload: dict) -> None:
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["index", "entries", "centralizer_order", "class_size", "element_order", "real"]
     )
@@ -213,7 +228,6 @@ def _classes_csv(payload: dict) -> str:
                 str(rec["real"]).lower(),
             ]
         )
-    return buf.getvalue()
 
 
 def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
@@ -260,30 +274,30 @@ def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
 
 def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
     if args.group == "gl":
-        report = audit_square_counts(args.n, args.q, include_oracle=args.oracle)
+        scope, records = square_count_audit(args.n, args.q, include_oracle=args.oracle)
     else:
-        report = audit_existence(args.group, args.n, args.q)
-    return report_to_json(report), _report_warnings(report)
+        scope, records = existence_audit(args.group, args.n, args.q)
+    warnings: list[str] = []
+    return report_to_json(scope, _started(records), warnings), warnings
 
 
-def _audit_csv(payload: dict) -> str:
+def _audit_csv(payload: dict) -> None:
+    """One row per record under the first record's value keys; a record
+    with other keys raises RuntimeError rather than misalign its row."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    keys: list[str] = []
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    keys = None
     for rec in payload["records"]:
-        for k in rec["values"]:
-            if k not in keys:
-                keys.append(k)
-    writer.writerow(["subject", *keys, "mismatches"])
-    for rec in payload["records"]:
-        writer.writerow(
-            [rec["subject"]]
-            + [rec["values"].get(k, "") for k in keys]
-            + [" | ".join(rec["mismatches"])]
-        )
-    return buf.getvalue()
+        values = rec["values"]
+        if keys is None:
+            keys = list(values)
+            writer.writerow(["subject", *keys, "mismatches"])
+        elif list(values) != keys:
+            raise RuntimeError(
+                f"record {rec['subject']} has values {list(values)}, not {keys}"
+            )
+        writer.writerow([rec["subject"], *values.values(), " | ".join(rec["mismatches"])])
 
 
 def _cmd_real_classes(args) -> tuple[dict, list[str]]:
@@ -347,7 +361,8 @@ def _cmd_real_classes(args) -> tuple[dict, list[str]]:
         ]
         return {"n": n, "q": str(q), "method": "gf-audit", "checks": checks}, warnings
     report = audit_real_counts(n, q)
-    return report_to_json(report), _report_warnings(report)
+    warnings: list[str] = []
+    return report_to_json(report.scope, report.records, warnings), warnings
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:
@@ -428,42 +443,69 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _render_json(obj, indent: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, for envelopes.
+def write_json(obj, write) -> None:
+    """Write the text of ``json.dumps(obj, indent=2)`` and a newline.
 
     A direct recursive writer: json.dumps with an indent always takes the
     generator-based pure-Python encoder.  Strings are quoted by the same C
     function json.dumps uses.  It takes str, int, bool, None, lists,
-    tuples and dicts with str keys; anything else raises TypeError.
-    ``indent`` is the newline and indentation of the enclosing level.
+    tuples and dicts with str keys, and two kinds of value that json.dumps
+    does not.  An iterator is written as a list, element by element as it
+    is drawn: each element goes out in one ``write`` call, with the text
+    before it.  A callable is called when the writer reaches it, and its
+    value written in its place.  The rest goes out in one last call.
+    Anything else raises TypeError.
     """
+    out: list[str] = []
+
+    def flush() -> None:
+        write("".join(out))
+        out.clear()
+
+    _emit(obj, "\n", out, flush)
+    out.append("\n")
+    flush()
+
+
+def _emit(obj, indent: str, out: list[str], flush) -> None:
+    """Append the text of obj to out, calling flush after each element
+    drawn from an iterator; ``indent`` is the newline and indentation of
+    the enclosing level."""
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
         inner = indent + "  "
-        items = []
+        sep = "{" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_quote(key) + ": " + _render_json(value, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+            out.append(sep + _quote(key) + ": ")
+            _emit(value, inner, out, flush)
+            sep = "," + inner
+        out.append("{}" if sep[0] == "{" else indent + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) or isinstance(obj, Iterator):
+        drawn = not isinstance(obj, (list, tuple))
         inner = indent + "  "
-        items = [_render_json(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _emit(value, inner, out, flush)
+            if drawn:
+                flush()
+            sep = "," + inner
+        out.append("[]" if sep[0] == "[" else indent + "]")
+    elif callable(obj):
+        _emit(obj(), indent, out, flush)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @lru_cache(maxsize=None)
@@ -538,7 +580,7 @@ _HANDLERS = {
     "oracle": _cmd_oracle,
 }
 
-_CSV_RENDERERS = {
+_CSV_WRITERS = {
     "classes": _classes_csv,
     "audit-squares": _audit_csv,
 }
@@ -556,10 +598,9 @@ def run(argv: list[str]) -> int:
             print(f"refused: {exc}", file=sys.stderr)
             return 3
         if getattr(args, "format", "json") == "csv":
-            sys.stdout.write(_CSV_RENDERERS[args.verb](payload))
+            _CSV_WRITERS[args.verb](payload)
             return 0
-        envelope = _envelope(argv, payload, warnings, args.timestamp)
-        sys.stdout.write(_render_json(envelope) + "\n")
+        write_json(_envelope(argv, payload, warnings, args.timestamp), sys.stdout.write)
         return 0
 
 

@@ -733,11 +733,19 @@ def _poly_seed(f: Poly) -> int:
     return seed
 
 
+# A product of two or more distinct degree-d irreducibles splits on a random
+# try with probability about 1/2 or more, so this many failures in a row
+# mean the input is not such a product.
+_MAX_SPLIT_TRIES = 64
+
+
 def _equal_degree(f: Poly, d: int) -> list[Poly]:
     """Cantor-Zassenhaus split of a product of distinct degree-d irreducibles.
 
     The random choices are seeded from the input so runs are reproducible;
-    the caller sorts the output anyway.
+    the caller sorts the output anyway.  RuntimeError when a piece fails
+    to split _MAX_SPLIT_TRIES times in a row, as one whose degree d does
+    not divide always does.
     """
     F = f.field
     q = F.q
@@ -753,11 +761,16 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
         if h.degree == d:
             result.append(h)
             continue
-        while True:
+        for _ in range(_MAX_SPLIT_TRIES):
             r = Poly(F, tuple(rng.randrange(q) for _ in range(2 * d)) + (1,))
             g = gcd(pow_mod(r, exponent, h) - one, h)
             if 0 < g.degree < h.degree:
                 break
+        else:
+            raise RuntimeError(
+                f"polynomial {f} over F_{q} did not split into degree-{d} factors in "
+                f"{_MAX_SPLIT_TRIES} tries"
+            )
         stack.append(g)
         stack.append((h // g).monic())
     return result

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,10 +95,6 @@ class AuditReport(Record):
     @property
     def flagged(self) -> int:
         return sum(1 for r in self.records if r.mismatches)
-
-    @property
-    def clean(self) -> int:
-        return len(self.records) - self.flagged
 
 
 def square_class(data: ClassData) -> ClassData:
@@ -361,88 +358,99 @@ def has_square_root_symplectic(data: ClassData) -> bool:
     return True
 
 
+def square_count_audit(
+    n: int, q: int, include_oracle: bool = True
+) -> tuple[str, Iterator[AuditRecord]]:
+    """The scope and records of the per-class comparison of the
+    centralizer-index count, the printed closed form, the existence
+    predicate, and (optionally) the exhaustive oracle fiber.  Each record
+    is computed as it is drawn; the class walk and the oracle's table
+    start with the first.  Disagreements are recorded, never raised."""
+
+    def records() -> Iterator[AuditRecord]:
+        if include_oracle:
+            from .brute_oracle import (
+                GroupSpec,
+                build_table,
+                representative_index,
+                square_fiber_counts,
+            )
+
+            table = build_table(GroupSpec("gl", n, q))
+            oracle_fibers = square_fiber_counts(table)
+        for data in enumerate_classes(n, q):
+            count = count_square_roots(data)
+            exists = has_square_root_gl(data)
+            values = [
+                ("class_size", str(class_size(data))),
+                ("centralizer_index_sum", str(count)),
+                ("has_square_root", str(exists).lower()),
+            ]
+            mismatches = []
+            if exists:
+                try:
+                    closed = closed_form_count(data)
+                    values.append(("closed_form", str(closed)))
+                    if closed != count:
+                        mismatches.append(
+                            f"closed form gives {closed}, centralizer-index sum gives {count}"
+                        )
+                except ClosedFormUndefined as exc:
+                    values.append(("closed_form", f"undefined: {exc.reason}"))
+                    mismatches.append(f"closed form undefined: {exc.reason}")
+            else:
+                values.append(("closed_form", "n/a (no square root)"))
+            if exists != (count > 0):
+                mismatches.append("existence predicate disagrees with the count")
+            if include_oracle:
+                fiber = oracle_fibers[representative_index(table, data)]
+                values.append(("oracle_fiber", str(fiber)))
+                if fiber != count:
+                    mismatches.append(
+                        f"oracle fiber {fiber} != centralizer-index sum {count}"
+                    )
+            yield AuditRecord(str(data), tuple(values), tuple(mismatches))
+
+    return f"gl n={n} q={q} square-map audit", records()
+
+
 def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditReport:
-    """Per-class comparison of the centralizer-index count, the printed
-    closed form, the existence predicate, and (optionally) the exhaustive
-    oracle fiber.  Disagreements are recorded, never raised."""
-    records = []
-    oracle_fibers = None
-    table = None
-    if include_oracle:
+    """The report of :func:`square_count_audit`, drawn in full."""
+    scope, records = square_count_audit(n, q, include_oracle)
+    return AuditReport(scope, tuple(records))
+
+
+def existence_audit(kind: str, n: int, q: int) -> tuple[str, Iterator[AuditRecord]]:
+    """The scope and records of the existence predicate vs the oracle on
+    every class of the group of the given kind: "sp" for Sp_n(q) against
+    has_square_root_symplectic, "u" for U_n(q^2) against
+    has_square_root_unitary, n the matrix size.  Each record is computed
+    as it is drawn; the oracle's table is built before the first.  On Sp
+    the -I class is expected to be flagged."""
+
+    def records() -> Iterator[AuditRecord]:
         from .brute_oracle import (
             GroupSpec,
             build_table,
-            representative_index,
+            class_data_of_element,
+            conjugacy_classes,
             square_fiber_counts,
         )
 
-        table = build_table(GroupSpec("gl", n, q))
-        oracle_fibers = square_fiber_counts(table)
-    for data in enumerate_classes(n, q):
-        count = count_square_roots(data)
-        exists = has_square_root_gl(data)
-        values = [
-            ("class_size", str(class_size(data))),
-            ("centralizer_index_sum", str(count)),
-            ("has_square_root", str(exists).lower()),
-        ]
-        mismatches = []
-        if exists:
-            try:
-                closed = closed_form_count(data)
-                values.append(("closed_form", str(closed)))
-                if closed != count:
-                    mismatches.append(
-                        f"closed form gives {closed}, centralizer-index sum gives {count}"
-                    )
-            except ClosedFormUndefined as exc:
-                values.append(("closed_form", f"undefined: {exc.reason}"))
-                mismatches.append(f"closed form undefined: {exc.reason}")
-        else:
-            values.append(("closed_form", "n/a (no square root)"))
-        if exists != (count > 0):
-            mismatches.append("existence predicate disagrees with the count")
-        if include_oracle:
-            fiber = oracle_fibers[representative_index(table, data)]
-            values.append(("oracle_fiber", str(fiber)))
-            if fiber != count:
-                mismatches.append(
-                    f"oracle fiber {fiber} != centralizer-index sum {count}"
+        predicate = {"sp": has_square_root_symplectic, "u": has_square_root_unitary}[kind]
+        table = build_table(GroupSpec(kind, n, q))
+        fibers = square_fiber_counts(table)
+        for cls in conjugacy_classes(table):
+            rep = table.matrix(cls[0])
+            data = class_data_of_element(table.field, rep)
+            predicted = predicate(data)
+            actual = fibers[cls[0]] > 0
+            mismatches = ()
+            if predicted != actual:
+                mismatches = (
+                    f"criterion says {str(predicted).lower()}, oracle fiber is {fibers[cls[0]]}",
                 )
-        records.append(AuditRecord(str(data), tuple(values), tuple(mismatches)))
-    return AuditReport(f"gl n={n} q={q} square-map audit", tuple(records))
-
-
-def audit_existence(kind: str, n: int, q: int) -> AuditReport:
-    """Existence predicate vs oracle on every class of the group of the
-    given kind: "sp" for Sp_n(q) against has_square_root_symplectic, "u"
-    for U_n(q^2) against has_square_root_unitary, n the matrix size.
-    On Sp the -I class is expected to be flagged."""
-    from .brute_oracle import (
-        GroupSpec,
-        build_table,
-        class_data_of_element,
-        conjugacy_classes,
-        square_fiber_counts,
-    )
-
-    predicate = {"sp": has_square_root_symplectic, "u": has_square_root_unitary}[kind]
-    spec = GroupSpec(kind, n, q)
-    table = build_table(spec)
-    fibers = square_fiber_counts(table)
-    records = []
-    for cls in conjugacy_classes(table):
-        rep = table.matrix(cls[0])
-        data = class_data_of_element(table.field, rep)
-        predicted = predicate(data)
-        actual = fibers[cls[0]] > 0
-        mismatches = ()
-        if predicted != actual:
-            mismatches = (
-                f"criterion says {str(predicted).lower()}, oracle fiber is {fibers[cls[0]]}",
-            )
-        records.append(
-            AuditRecord(
+            yield AuditRecord(
                 str(data),
                 (
                     ("class_size", str(len(cls))),
@@ -451,5 +459,11 @@ def audit_existence(kind: str, n: int, q: int) -> AuditReport:
                 ),
                 mismatches,
             )
-        )
-    return AuditReport(f"{kind} n={n} q={q} square-root existence audit", tuple(records))
+
+    return f"{kind} n={n} q={q} square-root existence audit", records()
+
+
+def audit_existence(kind: str, n: int, q: int) -> AuditReport:
+    """The report of :func:`existence_audit`, drawn in full."""
+    scope, records = existence_audit(kind, n, q)
+    return AuditReport(scope, tuple(records))

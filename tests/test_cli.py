@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
-from squarefibers.cli import _render_json, run
+from squarefibers.cli import _audit_csv, report_to_json, run, write_json
 from squarefibers.ffpoly import (
     Poly,
     field_from_order,
@@ -33,6 +33,7 @@ from squarefibers.formats import class_data_to_json, poly_from_text
 from squarefibers.gl_classes import class_count, enumerate_classes
 from squarefibers.limits import InputError
 from squarefibers.matrices import mat_inv, mat_mul
+from squarefibers.square_fibers import AuditRecord
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -246,6 +247,20 @@ def test_audit_squares_csv():
     )
     assert code == 0
     assert out.splitlines()[0].startswith("subject,")
+
+
+def test_audit_csv_refuses_a_record_with_other_keys():
+    first = AuditRecord("x+1", (("class_size", "1"), ("count", "2")), ())
+    same = AuditRecord("x+2", (("class_size", "1"), ("count", "0")), ("no root",))
+    other = AuditRecord("x+2", (("class_size", "1"), ("oracle_fiber", "2")), ())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _audit_csv(report_to_json("hand-made", [first, same]))
+    assert out.getvalue() == (
+        "subject,class_size,count,mismatches\nx+1,1,2,\nx+2,1,0,no root\n"
+    )
+    with redirect_stdout(io.StringIO()), pytest.raises(RuntimeError, match="x\\+2"):
+        _audit_csv(report_to_json("hand-made", [first, other]))
 
 
 def test_real_classes_methods():
@@ -744,18 +759,63 @@ _json_values = st.recursive(
 )
 
 
+def _written(obj):
+    writes = []
+    write_json(obj, writes.append)
+    return "".join(writes)
+
+
+def _lazy(rng, obj):
+    """obj with some of its lists made iterators and some of its values
+    made callables that return them."""
+    if isinstance(obj, dict):
+        obj = {k: _lazy(rng, v) for k, v in obj.items()}
+    elif isinstance(obj, list):
+        obj = [_lazy(rng, v) for v in obj]
+        if rng.random() < 0.5:
+            obj = iter(obj)
+    if rng.random() < 0.2:
+        return lambda: obj
+    return obj
+
+
 @settings(max_examples=300)
 @given(_json_values)
 def test_render_json_equals_json_dumps_with_indent_2(obj):
-    assert _render_json(obj) == json.dumps(obj, indent=2)
+    assert _written(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=300)
+@given(_json_values, st.randoms(use_true_random=False))
+def test_write_json_takes_iterators_and_callables_in_place_of_their_values(obj, rng):
+    assert _written(_lazy(rng, obj)) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_write_json_writes_each_row_as_it_is_drawn():
+    writes = []
+
+    def rows():
+        for i in range(3):
+            # every row before this one is out
+            assert len(writes) == i
+            yield {"i": i}
+
+    write_json({"rows": rows(), "after": lambda: len(writes)}, writes.append)
+    assert writes == [
+        '{\n  "rows": [\n    {\n      "i": 0\n    }',
+        ',\n    {\n      "i": 1\n    }',
+        ',\n    {\n      "i": 2\n    }',
+        '\n  ],\n  "after": 3\n}\n',
+    ]
 
 
 def test_render_json_empty_containers_and_refusals():
     obj = {"a": [], "b": {}, "c": (), "d": [{}, [[]]], "e": 10**100, "f": [True, False, None]}
-    assert _render_json(obj) == json.dumps(obj, indent=2)
+    assert _written(obj) == json.dumps(obj, indent=2) + "\n"
+    assert _written({"a": iter(()), "b": lambda: {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
     for bad in (1.5, {1: "x"}, {None: 1}, {"s": {1, 2}}, [b"raw"], object()):
         with pytest.raises(TypeError):
-            _render_json(bad)
+            _written(bad)
 
 
 # -- fuzzed arguments of the class verbs ----------------------------------------

@@ -3,8 +3,12 @@ against trial division, and randomized properties."""
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import sympy
@@ -480,3 +484,24 @@ def test_reducible_input_still_raises_and_is_never_recorded(F5):
     with pytest.raises(InputError):
         ffpoly.require_irreducible_not_x(f)
     assert not is_irreducible(f)
+
+
+def test_equal_degree_refuses_a_piece_that_cannot_split():
+    # x + 1 has no degree-2 factors: every random split fails, and the
+    # bounded tries end in an error, not a loop (in a subprocess, so that
+    # a hang fails the test)
+    probe = (
+        "from squarefibers.ffpoly import Poly, _equal_degree, field_make\n"
+        "F = field_make(3, 1)\n"
+        "_equal_degree(Poly(F, (1, 1)), 2)\n"
+    )
+    src = str(Path(ffpoly.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "RuntimeError: polynomial 1,1 over F_3 did not split into degree-2 "
+        "factors in 64 tries"
+    )
