@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import gcd as int_gcd
 
 from .limits import (
+    MAX_FACTORED_INTEGER,
     MAX_FIELD_ORDER,
     MAX_POLY_DEGREE,
     InputError,
@@ -35,7 +36,7 @@ from .limits import (
     clip,
     exceeds,
 )
-from .numtheory import factorint
+from .numtheory import divisors, factorint
 from .records import Record
 
 
@@ -944,22 +945,47 @@ def conj_reciprocal(f: Poly) -> Poly:
     return reciprocal(Poly(F, tuple(F.conj(c) for c in f.coeffs)))
 
 
+def cyclotomic_values(q: int, d: int) -> dict[int, int]:
+    """{k: Phi_k(q)} over the divisors k of d, ascending, whose product is
+    q^d - 1: the algebraic split of the Cunningham tables.  In increasing
+    k each value is Phi_k(q) = (q^k - 1) / prod_{j | k, j < k} Phi_j(q)."""
+    values: dict[int, int] = {}
+    for k in divisors(d):
+        value = q**k - 1
+        for j, earlier in values.items():
+            if k % j == 0:
+                value //= earlier
+        values[k] = value
+    return values
+
+
 @lru_cache(maxsize=None)
 def root_order(f: Poly) -> int:
     """Multiplicative order of the roots of a monic irreducible f != x.
 
     All roots are conjugate so they share one order t; t divides
-    q^deg(f) - 1 and deg(f) is the multiplicative order of q mod t.  f is
+    q^d - 1, d = deg(f), and d is the multiplicative order of q mod t.
+    The primes of q^d - 1 are taken from its pieces Phi_k(q), k | d (see
+    :func:`cyclotomic_values`), so only they need to be factored; one
+    past MAX_FACTORED_INTEGER raises ScaleLimitError naming d and q.  f is
     not checked: a reducible f gives a meaningless order.
     """
     t = _ROOT_ORDERS.get(f)
     if t is not None:
         return t
-    q = f.field.q
-    n = q**f.degree - 1
-    t = n
+    q, d = f.field.q, f.degree
+    primes: set[int] = set()
+    for k, value in cyclotomic_values(q, d).items():
+        try:
+            primes.update(factorint(value))
+        except ScaleLimitError:
+            raise ScaleLimitError(
+                f"the root order of a degree-{d} polynomial over F_{q} needs the primes "
+                f"of Phi_{k}({q}), past the limit {MAX_FACTORED_INTEGER}"
+            ) from None
+    t = q**d - 1
     x = poly_x(f.field)
-    for prime in factorint(n):
+    for prime in primes:
         while t % prime == 0 and pow_mod(x, t // prime, f).is_one():
             t //= prime
     return t

@@ -12,7 +12,7 @@ MAX_CLASS_COUNT = 10**6
 MAX_ROOT_CLASS_COUNT = 10**4
 MAX_GROUP_ORDER = 10**6
 MAX_ENUMERATION_SPACE = 2**24
-MAX_PROFILE_EXPONENT = 2**64 - 1  # largest m of a Butler profile of f(x^m)
+MAX_FACTORED_INTEGER = 2**64 - 1  # largest integer factorint takes: its primality test is proven below 2^64
 MAX_PROFILE_ENTRIES = 10**4  # most entries (divisors of m1) of a Butler profile
 MAX_ECHO_CHARS = 60  # most characters of an input value that an error message repeats
 

@@ -1,12 +1,12 @@
 """Exact integer number theory for field orders, root orders and series.
 
-Every input the package meets in practice is small (field orders are
-capped, root orders divide q^d - 1), so factorization is trial division
-by a prime table, then Pollard's rho on what is left, with primality from
-Miller-Rabin on the bases {2, 325, 9375, 28178, 450775, 9780504,
-1795265022}, which is a proven primality test for every n < 2^64.  From
-2^64 upward, and only there, the answer is sympy's: it is imported
-inside the call, so the package's import path never loads it.
+Factorization is trial division by a prime table, then Pollard's rho on
+what is left, with primality from Miller-Rabin on the bases {2, 325,
+9375, 28178, 450775, 9780504, 1795265022}, which is a proven primality
+test for every n < 2^64.  That range is the whole of it: factorint
+refuses any n past MAX_FACTORED_INTEGER = 2^64 - 1 with ScaleLimitError,
+so every call ends in bounded time.  A root order never factors q^d - 1
+whole, only its cyclotomic pieces (see ffpoly.root_order).
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
+
+from .limits import MAX_FACTORED_INTEGER, ScaleLimitError, clip
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -30,7 +32,6 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _primes_below(1000)
 _TRIAL_BOUND = 1000 * 1000  # a number below it without a small factor is prime
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_WORD = 1 << 64
 
 
 def _miller_rabin(n: int) -> bool:
@@ -70,13 +71,11 @@ def _rho(n: int) -> int:
 @lru_cache(maxsize=256)
 def factorint(n: int) -> Mapping[int, int]:
     """Prime factorization of n >= 1 as a read-only {prime: exponent} map,
-    primes ascending."""
+    primes ascending.  An n past MAX_FACTORED_INTEGER raises ScaleLimitError."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
-    if n >= _WORD:
-        import sympy
-
-        return MappingProxyType({int(p): int(e) for p, e in sorted(sympy.factorint(n).items())})
+    if n > MAX_FACTORED_INTEGER:
+        raise ScaleLimitError(f"cannot factor {clip(n)}: past the limit {MAX_FACTORED_INTEGER}")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from . import ffpoly
 from .ffpoly import (
@@ -30,7 +30,6 @@ from .ffpoly import (
 )
 from .limits import (
     MAX_PROFILE_ENTRIES,
-    MAX_PROFILE_EXPONENT,
     InputError,
     ScaleLimitError,
     clip,
@@ -89,22 +88,26 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     """Factor profile of f(x^m) for gcd(m, q) = 1.
 
     Writes m = m1 * m2 with gcd(m1, t) = 1 and every prime of m2
-    dividing t, where t is the root order of f.  For each divisor e of
-    m1 the factors of degree M(e*m2*t; q) with roots of order e*m2*t
-    number deg(f)*m2*phi(e)/M(e*m2*t; q).  The number of divisors of m1
-    is checked against MAX_PROFILE_ENTRIES before any order is taken.
+    dividing t, where t is the root order of f and d = deg f.  For each
+    divisor e of m1 the factors with roots of order e*m2*t have degree
+    M = lcm(d*k, ord_e(q)), with k the least divisor of m2 such that
+    q^(d*k) = 1 mod m2*t: ord_t(q) = d, the units that are 1 mod t form
+    a group of order m2 mod m2*t, and e is prime to m2*t, so the order
+    e*m2*t itself is never factored.  They number d*m2*phi(e)/M.  The
+    number of divisors of m1 is checked against MAX_PROFILE_ENTRIES
+    before any order is taken; factorint refuses an m past its limit.
     f must be a monic irreducible other than x; it is not checked.
     """
     if m < 1:
         raise InputError("m must be positive")
-    if m > MAX_PROFILE_EXPONENT:
-        raise ScaleLimitError(f"m = {clip(m)} exceeds the limit {MAX_PROFILE_EXPONENT}")
+    m_primes = factorint(m)
     q = f.field.q
     if int_gcd(m, q) != 1:
         raise InputError(f"gcd({m}, {q}) != 1")
+    d = f.degree
     t = root_order(f)
     m1, m2, entry_count = 1, 1, 1
-    for prime, exp in factorint(m).items():
+    for prime, exp in m_primes.items():
         if t % prime == 0:
             m2 *= prime**exp
         else:
@@ -114,16 +117,21 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
         raise ScaleLimitError(
             f"the profile of f(x^{m}) has {entry_count} entries, past {MAX_PROFILE_ENTRIES}"
         )
+    one = 1 % (m2 * t)  # 0 when m2 * t = 1, for f = x - 1
+    k = next(k for k in divisors(m2) if pow(q, d * k, m2 * t) == one)
     entries = []
     for e in divisors(m1):
-        order = e * m2 * t
-        degree = n_order(q, order)
-        num = f.degree * m2 * totient(e)
-        count, rem = divmod(num, degree)
-        assert rem == 0, "factor count is not integral"
-        entries.append(ButlerEntry(degree, count, order))
+        degree = lcm(d * k, n_order(q, e))
+        count, rem = divmod(d * m2 * totient(e), degree)
+        if rem:
+            raise RuntimeError(f"factor count of f(x^{m}) at e = {e} is not integral: {clip(f)}")
+        entries.append(ButlerEntry(degree, count, e * m2 * t))
     profile = ButlerProfile(tuple(entries), m1, m2)
-    assert profile.total_degree() == m * f.degree
+    if profile.total_degree() != m * d:
+        raise RuntimeError(
+            f"profile of f(x^{m}) has total degree {profile.total_degree()}, "
+            f"not {m * d}: {clip(f)}"
+        )
     return profile
 
 

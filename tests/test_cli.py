@@ -8,6 +8,7 @@ import tempfile
 import time
 import json
 import random
+import subprocess
 import sys
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
@@ -90,6 +91,28 @@ def test_classify_poly_degree_23_over_the_largest_prime_field():
         product = product * poly_from_text(field, text)
     assert product == substitute_power(f, 2)
     assert payload["classification"] == "2-power"
+
+
+def test_classify_poly_profile_past_the_factoring_limit_exits_3_in_seconds():
+    # the degree-23 input above: Phi_23(1048573) has 133 digits, and factoring
+    # it had no work bound, so this argv ran until it was killed
+    poly = ("244386,640450,311980,642260,90838,739167,911049,536996,787997,298241,"
+            "808904,920081,925842,370222,431419,480557,56561,662574,730654,541196,"
+            "697964,1002930,680015,1")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "squarefibers.cli", "classify-poly", "--q", "1048573",
+         "--poly", poly, "--m", "3"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == (
+        "refused: the root order of a degree-23 polynomial over F_1048573 needs the "
+        "primes of Phi_23(1048573), past the limit 18446744073709551615\n"
+    )
 
 
 def test_classify_poly_rejects_reducible():
@@ -521,7 +544,7 @@ def test_oracle_cache_path_that_cannot_be_used_exits_2(tmp_path):
 
 @pytest.mark.parametrize("m", [
     str(2**64),
-    "300000000000000001940000000000000002091",  # two 20-digit primes: 4.4 s in sympy
+    "300000000000000001940000000000000002091",  # two 20-digit primes, past 2^64
 ])
 def test_classify_poly_profile_exponent_over_the_limit_exits_3_at_once(m):
     start = time.perf_counter()

@@ -1,19 +1,31 @@
-"""Integer number theory against sympy as the reference, on both sides of
-2^64, and a guard that the CLI's import and class-side verbs never load
-sympy."""
+"""Integer number theory against sympy as the test reference: factorint
+below 2^64 and its refusal above, root orders and Butler profiles past
+2^64 through the cyclotomic pieces of q^d - 1, and a guard that the
+CLI's import and verbs never load sympy."""
 
 import os
 import subprocess
 import sys
-from math import gcd
+import time
+from math import gcd, prod
 
 import pytest
 import sympy
 
 import squarefibers
 from squarefibers import numtheory
-from squarefibers.ffpoly import Poly, field_make, is_irreducible, pow_mod, root_order
+from squarefibers.ffpoly import (
+    Poly,
+    cyclotomic_values,
+    field_from_order,
+    field_make,
+    is_irreducible,
+    pow_mod,
+    root_order,
+)
+from squarefibers.limits import MAX_FACTORED_INTEGER, ScaleLimitError
 from squarefibers.numtheory import divisors, factorint, mobius, n_order, totient
+from squarefibers.power_poly import butler_profile
 
 WORD = 2**64
 ODD_PRIME_POWERS = [q for q in range(3, 126, 2) if len(sympy.factorint(q)) == 1]
@@ -92,17 +104,51 @@ def test_below_2_to_the_64_needs_no_sympy(monkeypatch):
     # a semiprime of two 31- and 32-bit primes: only rho can split it
     assert dict(factorint((2**31 - 1) * (2**32 - 5))) == {2**31 - 1: 1, 2**32 - 5: 1}
     assert dict(factorint((2**31 - 1) ** 2)) == {2**31 - 1: 2}
-    with pytest.raises(ImportError):
+    with pytest.raises(ScaleLimitError):
         factorint(WORD + 13)
 
 
-def test_from_2_to_the_64_sympy_answers():
-    assert sympy.isprime(WORD + 13)
-    assert dict(factorint(WORD + 13)) == {WORD + 13: 1}
-    n = (2**32 - 5) * (2**32 + 15)
-    assert n >= WORD
-    assert dict(factorint(n)) == sympy.factorint(n) == {2**32 - 5: 1, 2**32 + 15: 1}
-    assert list(factorint(n)) == sorted(factorint(n))
+def test_from_2_to_the_64_factorint_refuses_at_once():
+    assert MAX_FACTORED_INTEGER == WORD - 1
+    assert dict(factorint(WORD - 1)) == sympy.factorint(WORD - 1)
+    # a prime, a product of two 32-bit primes that rho would split, and a
+    # 63-digit number whose message shows only its first 60 digits
+    for n in (WORD + 13, (2**32 - 5) * (2**32 + 15), 3**130 - 1):
+        start = time.perf_counter()
+        with pytest.raises(ScaleLimitError) as info:
+            factorint(n)
+        assert time.perf_counter() - start < 0.5
+        assert len(str(info.value)) < 150
+
+
+def test_cyclotomic_values_against_sympy():
+    # every (q, d) whose q^d - 1 is below 2^64, and a few past it
+    cells = [(q, d) for q in ODD_PRIME_POWERS for d in range(1, 65) if q**d - 1 < WORD]
+    for q, d in cells + [(3, 41), (3, 64), (125, 12), (1048573, 6)]:
+        values = cyclotomic_values(q, d)
+        assert list(values) == sympy.divisors(d)
+        assert prod(values.values()) == q**d - 1
+        for k, value in values.items():
+            assert value == sympy.cyclotomic_poly(k, q), (q, d, k)
+        if q**d - 1 < WORD:
+            primes = {p for value in values.values() for p in factorint(value)}
+            assert primes == set(factorint(q**d - 1)), (q, d)
+
+
+# (q, d): answered iff every Phi_k(q), k | d, is at most 2^64 - 1
+ANSWERED = [(3, d) for d in range(1, 33)] + [(3, 41), (7, 23), (1048573, 4), (1048573, 6)]
+REFUSED = [(5, 29), (7, 29), (25, 17), (65537, 9), (1048573, 5), (1048573, 7), (1048573, 11)]
+
+
+def test_root_order_is_refused_exactly_past_the_cyclotomic_bound():
+    for q, d in ANSWERED:
+        assert max(cyclotomic_values(q, d).values()) <= MAX_FACTORED_INTEGER, (q, d)
+    for q, d in REFUSED:
+        assert max(cyclotomic_values(q, d).values()) > MAX_FACTORED_INTEGER, (q, d)
+        # root_order does not check f, and refuses before any power is taken
+        f = Poly(field_from_order(q), (1,) * (d + 1))
+        with pytest.raises(ScaleLimitError, match=f"degree-{d} polynomial over F_{q} "):
+            root_order(f)
 
 
 def test_root_order_past_2_to_the_64_matches_sympy():
@@ -121,6 +167,20 @@ def test_root_order_past_2_to_the_64_matches_sympy():
     assert t == want
     assert pow_mod(x, t, f).is_one()
     assert all(not pow_mod(x, t // r, f).is_one() for r in sympy.factorint(t))
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_butler_profile_past_2_to_the_64_needs_no_sympy(m, monkeypatch):
+    F = field_make(3, 1)
+    f = Poly(F, (1, 2) + (0,) * 39 + (1,))  # x^41 + 2x + 1, as above
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, "sympy", None)  # any import of it fails
+        root_order.cache_clear()
+        profile = butler_profile(f, m)
+    assert profile.total_degree() == 41 * m
+    assert all(e.root_order >= WORD for e in profile.entries)
+    for e in profile.entries:
+        assert e.degree == sympy.n_order(3, e.root_order), e
 
 
 def test_cli_import_and_class_verbs_load_no_sympy():

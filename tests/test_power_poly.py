@@ -1,7 +1,11 @@
 """Two-power classification and the order-driven factor profiles of f(x^m),
 cross-audited against direct factorization."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +59,31 @@ def test_butler_profile_examples(F3):
 def test_butler_profile_rejects_bad_inputs(F3):
     with pytest.raises(InputError):
         butler_profile(Poly(F3, (1, 1)), 3)  # gcd(m, q) != 1
+
+
+@pytest.mark.parametrize("patch,message", [
+    ("power_poly.n_order = lambda a, n: 3", "factor count of f(x^5) at e = 1 is not integral"),
+    ("power_poly.divisors = lambda n: [1]", "profile of f(x^5) has total degree 1, not 5"),
+], ids=["wrong-order", "lost-divisor"])
+def test_butler_profile_cross_checks_survive_python_O(patch, message):
+    # x + 1 over F_3 has t = 2, so m = 5 gives one entry per divisor of 5,
+    # of degree n_order(3, 5) = 4; a wrong order or a lost divisor must raise
+    probe = (
+        "assert False, 'asserts are on'\n"
+        "from squarefibers import power_poly\n"
+        "from squarefibers.ffpoly import Poly, field_make\n"
+        f"{patch}\n"
+        "try:\n"
+        "    power_poly.butler_profile(Poly(field_make(3, 1), (1, 1)), 5)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(ffpoly.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == f"{message}: 1,1\n"
 
 
 def _assert_profile_matches_factorization(f, m):
