@@ -5,13 +5,15 @@ command echo, timestamp (null unless --timestamp is given, so output is
 reproducible byte for byte), payload and a warnings list.  Audit
 mismatches are findings, not failures: they surface as warnings and the
 exit code stays 0.  Exit 2 means invalid input, exit 3 means a
-desk-scale bound was refused.  ``classes`` and ``audit-squares`` write
-each row, in JSON or CSV, as it is computed, so what they print is never
-held in memory; their refusals still come before the first byte.
+desk-scale bound was refused.  ``classes``, ``audit-squares`` and the
+full ``real-classes`` audit write each row as it is computed, so what
+they print is never held in memory; their refusals still come before the
+first byte.
 
 A verb imports only the code it runs: the query verbs load neither the
-oracle nor the real-class code, and ``datetime`` and ``csv`` load only
-when a run asks for a timestamp or CSV.
+oracle, the real-class code nor the audits, which live in ``audits`` and
+load only in ``audit-squares`` and the full ``real-classes`` audit;
+``datetime`` and ``csv`` load only when a run asks for a timestamp or CSV.
 """
 
 from __future__ import annotations
@@ -55,13 +57,11 @@ from .power_poly import (
 )
 from .square_fibers import (
     ClosedFormUndefined,
-    existence_audit,
     has_square_root_gl,
     has_square_root_symplectic,
     has_square_root_unitary,
     closed_form_count,
     square_class,
-    square_count_audit,
     square_root_classes,
 )
 
@@ -84,7 +84,7 @@ def _envelope(argv: list[str], payload: dict, warnings: list[str], stamp: bool) 
     }
 
 
-def report_to_json(scope: str, records, warnings: list[str] | None = None) -> dict:
+def report_to_json(scope: str, records, warnings: list[str]) -> dict:
     """The JSON form of an audit report, as the audit verbs print it.
 
     The records are drawn from ``records`` one at a time as the writer
@@ -99,8 +99,7 @@ def report_to_json(scope: str, records, warnings: list[str] | None = None) -> di
             tally[0] += 1
             if r.mismatches:
                 tally[1] += 1
-                if warnings is not None:
-                    warnings.extend(f"{r.subject}: {m}" for m in r.mismatches)
+                warnings.extend(f"{r.subject}: {m}" for m in r.mismatches)
             yield {
                 "subject": r.subject,
                 "values": dict(r.values),
@@ -273,6 +272,8 @@ def _cmd_sqrt_count(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_audit_squares(args) -> tuple[dict, list[str]]:
+    from .audits import existence_audit, square_count_audit
+
     if args.group == "gl":
         scope, records = square_count_audit(args.n, args.q, include_oracle=args.oracle)
     else:
@@ -303,7 +304,6 @@ def _audit_csv(payload: dict) -> None:
 def _cmd_real_classes(args) -> tuple[dict, list[str]]:
     from .real_classes import (
         THEOREM_CONVENTIONS,
-        audit_real_counts,
         real_class_count_direct,
         real_class_count_ms,
         real_class_count_theorem,
@@ -360,9 +360,11 @@ def _cmd_real_classes(args) -> tuple[dict, list[str]]:
             if by_classes != by_series
         ]
         return {"n": n, "q": str(q), "method": "gf-audit", "checks": checks}, warnings
-    report = audit_real_counts(n, q)
+    from .audits import audit_real_counts
+
+    scope, records = audit_real_counts(n, q)
     warnings: list[str] = []
-    return report_to_json(report.scope, report.records, warnings), warnings
+    return report_to_json(scope, _started(records), warnings), warnings
 
 
 def _cmd_oracle(args) -> tuple[dict, list[str]]:

@@ -5,7 +5,8 @@ Murray-Sambale route divides |{(g,h): g^2 h^2 = 1}| by the group order;
 a q-series route recovers the counts of M-th roots of identity that the
 published class-counting statement consumes.  A verbatim evaluator of
 that statement is kept for audits under both readings of its order
-counts; it is not trusted.
+counts; it is not trusted.  The audit that tabulates every route is
+:func:`squarefibers.audits.audit_real_counts`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .gl_classes import (
 )
 from .limits import InputError
 from .numtheory import divisors, n_order, totient
-from .square_fibers import AuditRecord, AuditReport, count_square_roots
+from .square_fibers import count_square_roots
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
 # The M of the counts of g^M = 1 that the published statement consumes
@@ -77,14 +78,16 @@ def count_unity_roots_gf(n: int, q: int, M: int) -> int:
     for d in divisors(M):
         e = n_order(q, d)
         phi = totient(d)
-        assert phi % e == 0, "order must divide the totient"
+        if phi % e:
+            raise RuntimeError("order must divide the totient")
         inner = [0] * (n + 1)
         inner[0] = 1
         for m in range(1, n // e + 1):
             inner[m * e] = Fraction(1, gl_order(m, q**e))
         series = series_mul(series, series_pow(inner, phi // e, n), n)
     value = gl_order(n, q) * series[n]
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RuntimeError(f"the series gives a non-integral count {value}")
     return int(value)
 
 
@@ -109,7 +112,7 @@ def s2_cardinality(n: int, q: int) -> int:
     Summing fiber(beta) * fiber(beta^(-1)) over beta and using that
     inverse classes have equal fibers gives sum over classes of
     |C| * R(C)^2, in one pass over the classes.  The mass identity
-    sum |C| R(C) = |G|, a prerequisite, is asserted in the same pass.
+    sum |C| R(C) = |G|, a prerequisite, is checked in the same pass.
     """
     mass = 0
     s2 = 0
@@ -118,12 +121,13 @@ def s2_cardinality(n: int, q: int) -> int:
         r = count_square_roots(data)
         mass += size * r
         s2 += size * r * r
-    assert mass == gl_order(n, q), "square-map mass is not conserved"
+    if mass != gl_order(n, q):
+        raise RuntimeError("square-map mass is not conserved")
     return s2
 
 
 def real_class_count_ms(n: int, q: int) -> int:
-    """|s(2)| / |G|; the division is a theorem and is asserted exact."""
+    """|s(2)| / |G|; the division is a theorem and is checked exact."""
     count, rem = divmod(s2_cardinality(n, q), gl_order(n, q))
     if rem:
         raise RuntimeError("s(2) cardinality is not divisible by the group order")
@@ -152,58 +156,3 @@ def real_class_count_theorem(n: int, q: int, convention: str) -> Fraction:
     c2 = c if convention == "order-dividing" else count_order_exactly(n, q, 2)
     sigma = s2_cardinality(n, q) - order - c * (c - 1)
     return 1 + Fraction(c4 + c2 * (c2 - 1) + sigma, order)
-
-
-def audit_real_counts(n: int, q: int) -> AuditReport:
-    """Tabulate every route to the real-class count and flag disagreements.
-
-    The direct and Murray-Sambale routes must agree (that identity is a
-    theorem); the generating-function counts must match the class-wise
-    order counts; the published-statement evaluators are recorded under
-    both conventions and flagged when they miss, which is expected.
-    """
-    records = []
-    direct = real_class_count_direct(n, q)
-    ms = real_class_count_ms(n, q)
-    mismatches = []
-    if direct != ms:
-        mismatches.append(f"direct {direct} != Murray-Sambale {ms}")
-    records.append(
-        AuditRecord(
-            "real class count",
-            (
-                ("direct", str(direct)),
-                ("murray_sambale", str(ms)),
-                ("s2", str(s2_cardinality(n, q))),
-                ("group_order", str(gl_order(n, q))),
-            ),
-            tuple(mismatches),
-        )
-    )
-    for M, by_classes, by_series in unity_root_counts(n, q):
-        mm = ()
-        if by_classes != by_series:
-            mm = (f"series count {by_series} != class count {by_classes}",)
-        records.append(
-            AuditRecord(
-                f"elements with g^{M} = 1",
-                (
-                    ("class_enumeration", str(by_classes)),
-                    ("generating_function", str(by_series)),
-                ),
-                mm,
-            )
-        )
-    for convention in THEOREM_CONVENTIONS:
-        value = real_class_count_theorem(n, q, convention)
-        mm = ()
-        if value != direct:
-            mm = (f"statement evaluator gives {value}, true count is {direct}",)
-        records.append(
-            AuditRecord(
-                f"published statement ({convention})",
-                (("value", str(value)), ("true_count", str(direct))),
-                mm,
-            )
-        )
-    return AuditReport(f"gl n={n} q={q} real-class audit", tuple(records))

@@ -7,14 +7,15 @@ fiber as a product of per-entry block values decided by root orders.  A
 verbatim evaluator of the published closed-form product is kept
 alongside purely so audits can compare it against the centralizer-index
 count and the brute-force oracle; the closed form is known to disagree
-and the audit output is the deliverable, not a bug.
+and the audit output is the deliverable, not a bug.  The audits
+themselves are in :mod:`squarefibers.audits`.  A failed cross-check
+raises RuntimeError, under ``python -O`` too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,8 +30,6 @@ from .gl_classes import (
     ClassData,
     block_centralizer_order,
     centralizer_order,
-    class_size,
-    enumerate_classes,
     gl_order,
     make_class_data,
 )
@@ -78,25 +77,6 @@ class ClosedFormUndefined(Exception):
         self.reason = reason
 
 
-class AuditRecord(Record):
-    __slots__ = ("subject", "values", "mismatches")
-
-    def __init__(self, subject: str, values: tuple[tuple[str, str], ...],
-                 mismatches: tuple[str, ...]):
-        self._set(subject, values, mismatches)
-
-
-class AuditReport(Record):
-    __slots__ = ("scope", "records")
-
-    def __init__(self, scope: str, records: tuple[AuditRecord, ...]):
-        self._set(scope, records)
-
-    @property
-    def flagged(self) -> int:
-        return sum(1 for r in self.records if r.mismatches)
-
-
 def square_class(data: ClassData) -> ClassData:
     """Class of g^2 for g in the given class.
 
@@ -124,16 +104,15 @@ def square_class(data: ClassData) -> ClassData:
         fp = minimal_polynomial_of_power(f)
         if fp.degree == f.degree:
             cls = classify2(fp)
-            assert isinstance(cls, TwoPower) and f in (cls.f1, cls.f2), (
-                "degree-preserving square is not a two-power factor"
-            )
+            if not (isinstance(cls, TwoPower) and f in (cls.f1, cls.f2)):
+                raise RuntimeError("degree-preserving square is not a two-power factor")
             contribute(fp, lam.pairs)
         else:
-            assert 2 * fp.degree == f.degree, "square dropped degree by more than half"
+            if 2 * fp.degree != f.degree:
+                raise RuntimeError("square dropped degree by more than half")
             cls = classify2(fp)
-            assert isinstance(cls, SkewTwoPower) and cls.f_of_x2 == f, (
-                "degree-halving square is not the skew preimage"
-            )
+            if not (isinstance(cls, SkewTwoPower) and cls.f_of_x2 == f):
+                raise RuntimeError("degree-halving square is not the skew preimage")
             contribute(fp, ((part, 2 * mult) for part, mult in lam.pairs))
     entries = [
         (poly, Partition(tuple(sorted(parts.items())))) for poly, parts in merged.items()
@@ -204,9 +183,11 @@ def square_root_classes(data: ClassData) -> SquareRootClassList:
     for combo in itertools.product(*per_entry):
         entries = [pair for contrib in combo for pair in contrib]
         candidate = make_class_data(data.field, entries)
-        assert square_class(candidate) == data, "square root candidate fails to square back"
+        if square_class(candidate) != data:
+            raise RuntimeError("square root candidate fails to square back")
         roots.append(candidate)
-    assert len(set(roots)) == len(roots)
+    if len(set(roots)) != len(roots):
+        raise RuntimeError("square root classes repeat")
     return SquareRootClassList(data, tuple(roots))
 
 
@@ -246,7 +227,8 @@ def _block_value(qd: int, lam: Partition, two_power: bool) -> int:
             return 0
         root = block_centralizer_order(qd * qd, halve_multiplicities(lam))
         value, rem = divmod(whole, root)
-        assert not rem, "skew root centralizer does not divide the block centralizer"
+        if rem:
+            raise RuntimeError("skew root centralizer does not divide the block centralizer")
         return value
     total = 0
     for vec in itertools.product(*(range(m + 1) for _, m in lam.pairs)):
@@ -255,7 +237,8 @@ def _block_value(qd: int, lam: Partition, two_power: bool) -> int:
         value, rem = divmod(
             whole, block_centralizer_order(qd, first) * block_centralizer_order(qd, second)
         )
-        assert not rem, "root centralizer does not divide the block centralizer"
+        if rem:
+            raise RuntimeError("root centralizer does not divide the block centralizer")
         total += value
     return total
 
@@ -356,114 +339,3 @@ def has_square_root_symplectic(data: ClassData) -> bool:
         elif not _two_power_or_even(f, lam):
             return False
     return True
-
-
-def square_count_audit(
-    n: int, q: int, include_oracle: bool = True
-) -> tuple[str, Iterator[AuditRecord]]:
-    """The scope and records of the per-class comparison of the
-    centralizer-index count, the printed closed form, the existence
-    predicate, and (optionally) the exhaustive oracle fiber.  Each record
-    is computed as it is drawn; the class walk and the oracle's table
-    start with the first.  Disagreements are recorded, never raised."""
-
-    def records() -> Iterator[AuditRecord]:
-        if include_oracle:
-            from .brute_oracle import (
-                GroupSpec,
-                build_table,
-                representative_index,
-                square_fiber_counts,
-            )
-
-            table = build_table(GroupSpec("gl", n, q))
-            oracle_fibers = square_fiber_counts(table)
-        for data in enumerate_classes(n, q):
-            count = count_square_roots(data)
-            exists = has_square_root_gl(data)
-            values = [
-                ("class_size", str(class_size(data))),
-                ("centralizer_index_sum", str(count)),
-                ("has_square_root", str(exists).lower()),
-            ]
-            mismatches = []
-            if exists:
-                try:
-                    closed = closed_form_count(data)
-                    values.append(("closed_form", str(closed)))
-                    if closed != count:
-                        mismatches.append(
-                            f"closed form gives {closed}, centralizer-index sum gives {count}"
-                        )
-                except ClosedFormUndefined as exc:
-                    values.append(("closed_form", f"undefined: {exc.reason}"))
-                    mismatches.append(f"closed form undefined: {exc.reason}")
-            else:
-                values.append(("closed_form", "n/a (no square root)"))
-            if exists != (count > 0):
-                mismatches.append("existence predicate disagrees with the count")
-            if include_oracle:
-                fiber = oracle_fibers[representative_index(table, data)]
-                values.append(("oracle_fiber", str(fiber)))
-                if fiber != count:
-                    mismatches.append(
-                        f"oracle fiber {fiber} != centralizer-index sum {count}"
-                    )
-            yield AuditRecord(str(data), tuple(values), tuple(mismatches))
-
-    return f"gl n={n} q={q} square-map audit", records()
-
-
-def audit_square_counts(n: int, q: int, include_oracle: bool = True) -> AuditReport:
-    """The report of :func:`square_count_audit`, drawn in full."""
-    scope, records = square_count_audit(n, q, include_oracle)
-    return AuditReport(scope, tuple(records))
-
-
-def existence_audit(kind: str, n: int, q: int) -> tuple[str, Iterator[AuditRecord]]:
-    """The scope and records of the existence predicate vs the oracle on
-    every class of the group of the given kind: "sp" for Sp_n(q) against
-    has_square_root_symplectic, "u" for U_n(q^2) against
-    has_square_root_unitary, n the matrix size.  Each record is computed
-    as it is drawn; the oracle's table is built before the first.  On Sp
-    the -I class is expected to be flagged."""
-
-    def records() -> Iterator[AuditRecord]:
-        from .brute_oracle import (
-            GroupSpec,
-            build_table,
-            class_data_of_element,
-            conjugacy_classes,
-            square_fiber_counts,
-        )
-
-        predicate = {"sp": has_square_root_symplectic, "u": has_square_root_unitary}[kind]
-        table = build_table(GroupSpec(kind, n, q))
-        fibers = square_fiber_counts(table)
-        for cls in conjugacy_classes(table):
-            rep = table.matrix(cls[0])
-            data = class_data_of_element(table.field, rep)
-            predicted = predicate(data)
-            actual = fibers[cls[0]] > 0
-            mismatches = ()
-            if predicted != actual:
-                mismatches = (
-                    f"criterion says {str(predicted).lower()}, oracle fiber is {fibers[cls[0]]}",
-                )
-            yield AuditRecord(
-                str(data),
-                (
-                    ("class_size", str(len(cls))),
-                    ("criterion", str(predicted).lower()),
-                    ("oracle_fiber", str(fibers[cls[0]])),
-                ),
-                mismatches,
-            )
-
-    return f"{kind} n={n} q={q} square-root existence audit", records()
-
-
-def audit_existence(kind: str, n: int, q: int) -> AuditReport:
-    """The report of :func:`existence_audit`, drawn in full."""
-    scope, records = existence_audit(kind, n, q)
-    return AuditReport(scope, tuple(records))

@@ -29,6 +29,7 @@ from squarefibers.ffpoly import (
     root_order,
     substitute_power,
 )
+from squarefibers.audits import existence_audit, square_count_audit
 from squarefibers.gl_classes import class_size, enumerate_classes, gl_order, make_class_data
 from squarefibers.partitions import Partition
 from squarefibers.power_poly import butler_profile
@@ -38,11 +39,7 @@ from squarefibers.real_classes import (
     real_class_count_direct,
     real_class_count_ms,
 )
-from squarefibers.square_fibers import (
-    audit_existence,
-    audit_square_counts,
-    count_square_roots,
-)
+from squarefibers.square_fibers import count_square_roots
 
 MASS_SET = [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7)]
 
@@ -189,9 +186,10 @@ def test_criterion_08_murray_sambale_beyond_gl():
 
 def test_criterion_09_audits_expose_the_printed_formulas():
     with criterion(9, "audits flag the closed form at I, -I and the Sp -I clause"):
-        report = audit_square_counts(2, 3, include_oracle=True)
-        assert len(report.records) == 8
-        flagged = {r.subject: r for r in report.records if r.mismatches}
+        _, records = square_count_audit(2, 3, include_oracle=True)
+        records = tuple(records)
+        assert len(records) == 8
+        flagged = {r.subject: r for r in records if r.mismatches}
         assert "(2,1)->1^2" in flagged, "identity closed-form mismatch not flagged"
         assert "(1,1)->1^2" in flagged, "minus-identity closed-form mismatch not flagged"
         ident = dict(flagged["(2,1)->1^2"].values)
@@ -199,11 +197,11 @@ def test_criterion_09_audits_expose_the_printed_formulas():
         assert (ident["closed_form"], ident["centralizer_index_sum"]) == ("6", "14")
         assert (minus["closed_form"], minus["centralizer_index_sum"]) == ("1", "6")
         # the authoritative count matches the oracle on every record
-        for r in report.records:
+        for r in records:
             values = dict(r.values)
             assert values["oracle_fiber"] == values["centralizer_index_sum"]
-        sp = audit_existence("sp", 2, 3)
-        sp_flagged = [r for r in sp.records if r.mismatches]
+        _, sp = existence_audit("sp", 2, 3)
+        sp_flagged = [r for r in sp if r.mismatches]
         assert [r.subject for r in sp_flagged] == ["(1,1)->1^2"]
         assert dict(sp_flagged[0].values)["criterion"] == "false"
         assert int(dict(sp_flagged[0].values)["oracle_fiber"]) > 0

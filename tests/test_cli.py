@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squarefibers.audits import AuditRecord
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
 from squarefibers.cli import _audit_csv, report_to_json, run, write_json
 from squarefibers.ffpoly import (
@@ -34,7 +35,6 @@ from squarefibers.formats import class_data_to_json, poly_from_text
 from squarefibers.gl_classes import class_count, enumerate_classes
 from squarefibers.limits import InputError
 from squarefibers.matrices import mat_inv, mat_mul
-from squarefibers.square_fibers import AuditRecord
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -278,12 +278,12 @@ def test_audit_csv_refuses_a_record_with_other_keys():
     other = AuditRecord("x+2", (("class_size", "1"), ("oracle_fiber", "2")), ())
     out = io.StringIO()
     with redirect_stdout(out):
-        _audit_csv(report_to_json("hand-made", [first, same]))
+        _audit_csv(report_to_json("hand-made", [first, same], []))
     assert out.getvalue() == (
         "subject,class_size,count,mismatches\nx+1,1,2,\nx+2,1,0,no root\n"
     )
     with redirect_stdout(io.StringIO()), pytest.raises(RuntimeError, match="x\\+2"):
-        _audit_csv(report_to_json("hand-made", [first, other]))
+        _audit_csv(report_to_json("hand-made", [first, other], []))
 
 
 def test_real_classes_methods():

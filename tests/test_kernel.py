@@ -195,7 +195,7 @@ def test_query_verbs_load_only_the_code_they_run():
         "import contextlib, io, sys\n"
         "import squarefibers.cli as cli\n"
         "DEFERRED = ('dataclasses', 'inspect', 'datetime', 'csv', 'squarefibers.brute_oracle',\n"
-        "            'squarefibers.matrices', 'squarefibers.real_classes')\n"
+        "            'squarefibers.matrices', 'squarefibers.real_classes', 'squarefibers.audits')\n"
         "def loaded():\n"
         "    return ' '.join(m for m in DEFERRED if m in sys.modules) or '-'\n"
         "def run(*argv):\n"
@@ -218,7 +218,7 @@ def test_query_verbs_load_only_the_code_they_run():
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    # the oracle and the real-class code load only in the verbs that run them
+    # the oracle, the real-class code and the audits load only in the verbs that run them
     assert out.stdout.splitlines() == ["-", "- 0 0 0", "0 0"]
 
 

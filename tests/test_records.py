@@ -7,19 +7,19 @@ import pickle
 
 import pytest
 
+from squarefibers.audits import AuditRecord
 from squarefibers.brute_oracle import GroupSpec
 from squarefibers.ffpoly import Poly, field_from_order, field_make
 from squarefibers.gl_classes import ClassData
 from squarefibers.limits import InputError, ScaleLimitError
 from squarefibers.partitions import Partition
 from squarefibers.power_poly import ButlerEntry, ButlerProfile, SkewTwoPower, TwoPower
-from squarefibers.square_fibers import AuditRecord, AuditReport, SquareRootClassList
+from squarefibers.square_fibers import SquareRootClassList
 
 F3 = field_make(3, 1)
 LINE = Poly(F3, (1, 1))
 SQUARE = Partition(((1, 2),))
 SINGLE = ClassData(F3, ((LINE, SQUARE),))
-RECORD = AuditRecord("x+1", (("count", "4"),), ())
 
 FIELDS = [
     (Poly, (F3, (2, 0, 1))),
@@ -31,7 +31,6 @@ FIELDS = [
     (SkewTwoPower, (Poly(F3, (1, 0, 1)),)),
     (SquareRootClassList, (SINGLE, (SINGLE,))),
     (AuditRecord, ("x+1", (("count", "4"),), ("closed form differs",))),
-    (AuditReport, ("gl n=1 q=3", (RECORD,))),
     (GroupSpec, ("sp", 2, 5)),
 ]
 
