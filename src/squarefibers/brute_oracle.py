@@ -384,18 +384,17 @@ def enumerate_group(spec: GroupSpec) -> ElementTable:
         codes = _enumerate_gl(field, spec.n)
     else:
         codes = _enumerate_isometries(spec)
-    if len(codes) != expected:
-        raise RuntimeError(
-            f"enumerated {len(codes)} elements of {spec}, expected {expected}"
-        )
     table = ElementTable(spec, field, codes)
-    assert len(table.index) == len(codes)
+    if len(codes) != expected or len(table.index) != expected:
+        raise RuntimeError(
+            f"{spec}: {len(table.index)} distinct of {len(codes)} codes, expected {expected}"
+        )
     return table
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def build_table(spec: GroupSpec) -> ElementTable:
-    """Cached enumerate_group for the small test matrix of groups."""
+    """enumerate_group, with the last table kept: one verb needs one."""
     return enumerate_group(spec)
 
 
@@ -553,8 +552,6 @@ def _build_walks(table: ElementTable) -> _Walks:
                         reached[y] = 1
                         nxt.append(y)
             frontier = nxt
-    # every index is a candidate, so every code was reached or chosen
-    assert len(members) == total
     del members
 
     # a row code with its digit k moved to weight q^(kn): the row as a column
@@ -636,7 +633,6 @@ def square_fiber_counts(table: ElementTable) -> list[int]:
     counts = [0] * len(table)
     for y in _class_map(table, lambda a: mat_mul(table.field, a, a)):
         counts[y] += 1
-    assert sum(counts) == len(table)
     return counts
 
 
@@ -695,12 +691,14 @@ def class_data_of_element(field: Field, a: Matrix) -> ClassData:
         pairs = []
         for j in range(1, mult + 1):
             m_j, rem = divmod(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1], d)
-            assert rem == 0
+            if rem:
+                raise RuntimeError(f"the rank sequence of f(A), f = {f}, is not divisible by {d}")
             if m_j:
                 pairs.append((j, m_j))
         entries.append((f, Partition(tuple(pairs))))
     data = make_class_data(field, entries)
-    assert data.n == n
+    if data.n != n:
+        raise RuntimeError(f"class data of weight {data.n} for a {n} x {n} matrix")
     return data
 
 

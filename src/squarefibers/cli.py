@@ -5,10 +5,12 @@ command echo, timestamp (null unless --timestamp is given, so output is
 reproducible byte for byte), payload and a warnings list.  Audit
 mismatches are findings, not failures: they surface as warnings and the
 exit code stays 0.  Exit 2 means invalid input, exit 3 means a
-desk-scale bound was refused.  ``classes``, ``audit-squares`` and the
-full ``real-classes`` audit write each row as it is computed, so what
-they print is never held in memory; their refusals still come before the
-first byte.
+desk-scale bound was refused, exit 4 means a cross-check failed, a
+defect of the program; past argparse, each prints one line on stderr.
+``classes``, ``audit-squares`` and the full ``real-classes`` audit write
+each row as it is computed, so what they print is never held in memory;
+their refusals still come before the first byte, and a failure after it
+leaves the rows already written.
 
 A verb imports only the code it runs: the query verbs load neither the
 oracle, the real-class code nor the audits, which live in ``audits`` and
@@ -154,18 +156,14 @@ def _cmd_classify_poly(args) -> tuple[dict, list[str]]:
     else:
         payload["classification"] = "2-power"
         payload["factors_of_f_x2"] = [poly_to_text(cls.f1), poly_to_text(cls.f2)]
-    payload["self_reciprocal"] = is_self_reciprocal(f)
-    payload["star_classification"] = (
-        _family_text(classify2_star(f), True) if is_self_reciprocal(f) else None
+    self_rec = is_self_reciprocal(f)
+    self_conj = is_self_conjugate(f) if field.k % 2 == 0 else None
+    payload["self_reciprocal"] = self_rec
+    payload["star_classification"] = _family_text(classify2_star(f), True) if self_rec else None
+    payload["self_conjugate"] = self_conj
+    payload["tilde_classification"] = (
+        _family_text(classify2_tilde(f), False) if self_conj else None
     )
-    if field.k % 2 == 0:
-        payload["self_conjugate"] = is_self_conjugate(f)
-        payload["tilde_classification"] = (
-            _family_text(classify2_tilde(f), False) if is_self_conjugate(f) else None
-        )
-    else:
-        payload["self_conjugate"] = None
-        payload["tilde_classification"] = None
     if args.m is not None:
         profile = butler_profile(f, args.m)
         payload["butler_profile"] = {
@@ -593,16 +591,19 @@ def run(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
         try:
             payload, warnings = _HANDLERS[args.verb](args)
+            if getattr(args, "format", "json") == "csv":
+                _CSV_WRITERS[args.verb](payload)
+            else:
+                write_json(_envelope(argv, payload, warnings, args.timestamp), sys.stdout.write)
         except InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ScaleLimitError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return 3
-        if getattr(args, "format", "json") == "csv":
-            _CSV_WRITERS[args.verb](payload)
-            return 0
-        write_json(_envelope(argv, payload, warnings, args.timestamp), sys.stdout.write)
+        except RuntimeError as exc:  # a failed cross-check: a defect, not bad input
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 4
         return 0
 
 

@@ -237,13 +237,10 @@ class Field:
         m = q - 1
         primes = list(factorint(m))
         encode, mulmod, decode = _residue_ring(field_make(p, 1), self.modulus_coeffs)
-        gen = None
-        for g in range(2, q):
-            b = encode(self.digits(g))
+        for gen in range(2, q):  # F_q^* is cyclic, so some gen passes
+            b = encode(self.digits(gen))
             if all(decode(_residue_pow(mulmod, b, m // r)) != [1] for r in primes):
-                gen = g
                 break
-        assert gen is not None
         times_gen = self._times(gen)
         exp = [1] * m
         log = [0] * q
@@ -783,8 +780,8 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
     The distinct-degree split (:func:`_distinct_degree`) runs on f itself,
     Cantor-Zassenhaus splits each of its products, and each irreducible's
     multiplicity is counted by division.  Returns (factor, multiplicity)
-    pairs sorted by (degree, coefficient tuple); the recomposed product is
-    asserted to equal the input.
+    pairs sorted by (degree, coefficient tuple); RuntimeError unless the
+    recomposed product equals the input.
     """
     _require_monic(f)
     result = []
@@ -804,7 +801,8 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
     for g, m in result:
         for _ in range(m):
             check = check * g
-    assert check == f, "factorization failed to recompose"
+    if check != f:
+        raise RuntimeError("factorization failed to recompose")
     return result
 
 
@@ -903,7 +901,8 @@ def _subfield_codes(field: Field, big: Field) -> dict[int, int]:
             if digit:
                 image = big.add(image, big.mul(digit, power))
         codes[image] = a
-    assert len(codes) == field.q, "the subfield embedding is not injective"
+    if len(codes) != field.q:
+        raise RuntimeError("the subfield embedding is not injective")
     return codes
 
 
@@ -1010,6 +1009,7 @@ def minimal_polynomial_of_power(f: Poly) -> Poly:
         return Poly(F, a[::2])
     minus = [F.neg(c) if i % 2 else c for i, c in enumerate(a)]  # f(-x)
     h = _mul(F, a, minus)
-    assert not any(h[1::2]), "f(x) f(-x) has an odd-degree term"
+    if any(h[1::2]):
+        raise RuntimeError("f(x) f(-x) has an odd-degree term")
     g = h[::2]
     return Poly(F, tuple(F.neg(c) for c in g) if f.degree % 2 else tuple(g))

@@ -95,7 +95,8 @@ def gl_order(n: int, q: int) -> int:
 def irreducible_count(q: int, d: int) -> int:
     """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e) of monic irreducibles."""
     total = sum(mobius(e) * q ** (d // e) for e in divisors(d))
-    assert total % d == 0
+    if total % d:
+        raise RuntimeError(f"the necklace sum of degree {d} over F_{q} is not divisible by {d}")
     return total // d
 
 

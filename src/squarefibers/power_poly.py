@@ -191,7 +191,8 @@ def classify2(f: Poly):
             f"f(x^2) for f={f} over F_{F.q} violates the two-factor dichotomy"
         )
     f1, f2 = sorted(factors, key=lambda h: h.coeffs)
-    assert f1 * f2 == g, "f(x^2) failed to recompose"
+    if f1 * f2 != g:
+        raise RuntimeError("f(x^2) failed to recompose")
     return TwoPower(f1, f2)
 
 

@@ -322,12 +322,18 @@ def has_square_root_symplectic(data: ClassData) -> bool:
     self-reciprocal entries must be star-power or star-skew with even
     multiplicities, and non-self-reciprocal ones follow the two-power
     dichotomy.  The oracle is authoritative; audits flag the -1
-    eigenvalue clause, which disagrees with it.
+    eigenvalue clause, which disagrees with it.  Data that no symplectic
+    matrix has raises InputError: it must be closed under reciprocals,
+    and in an x-1 or x+1 entry each odd part must have even multiplicity
+    (Wall), which also makes n even.
     """
     F = data.field
     x_minus_one = Poly(F, (F.neg(1), 1))
     x_plus_one = Poly(F, (1, 1))
     _check_closed(data, reciprocal, "symplectic")
+    for f, lam in data.entries:
+        if f in (x_minus_one, x_plus_one) and any(u % 2 and m % 2 for u, m in lam.pairs):
+            raise InputError(f"data is not symplectic: {f} has an odd part of odd multiplicity")
     for f, lam in data.entries:
         if f == x_minus_one:
             continue

@@ -90,6 +90,13 @@ def test_enumeration_sizes_match_formulas():
         assert len(build_table(spec)) == expected_group_order(spec)
 
 
+def test_build_table_keeps_one_table():
+    first = build_table(GroupSpec("gl", 1, 5))
+    assert build_table(GroupSpec("gl", 1, 5)) is first
+    build_table(GroupSpec("gl", 1, 7))
+    assert build_table.cache_info().currsize <= 1
+
+
 def test_scale_bound_refused():
     with pytest.raises(ScaleLimitError):
         enumerate_group(GroupSpec("gl", 4, 9))

@@ -221,6 +221,15 @@ def test_sqrt_count_symplectic_minus_identity_clause():
     assert env["payload"]["has_square_root"] is False
 
 
+@pytest.mark.parametrize("entries", [
+    '{"poly":"2,1","partition":"1^1"}',  # "Sp_1(3)"
+    '{"poly":"1,1","partition":"1^1"},{"poly":"2,1","partition":"1^1"}',  # diag(-1, 1)
+])
+def test_sqrt_count_symplectic_refuses_data_no_symplectic_matrix_has(entries):
+    argv = ["sqrt-count", "--group", "sp", "--q", "3", "--class", f'{{"entries":[{entries}]}}']
+    assert _one_error_line(*invoke(argv))
+
+
 def test_audit_squares_gl_with_oracle():
     env = invoke_json(["audit-squares", "--n", "2", "--q", "3", "--oracle"])
     payload = env["payload"]

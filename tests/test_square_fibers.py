@@ -225,6 +225,17 @@ def test_symplectic_examples(F3):
     assert not has_square_root_symplectic(_data(F3, ((1, 0, 1), [(1, 1)])))
 
 
+@pytest.mark.parametrize("entries", [
+    [((2, 1), [(1, 1)])],  # "Sp_1(3)"
+    [((1, 1), [(1, 1)]), ((2, 1), [(1, 1)])],  # diag(-1, 1)
+    [((2, 1), [(1, 1), (3, 1)])],  # Jordan blocks 1 and 3 at 1: n = 4, not in Sp_4
+], ids=["sp1", "diag(-1,1)", "blocks-1-3"])
+def test_symplectic_refuses_data_that_no_symplectic_matrix_has(F3, entries):
+    # Wall: at the eigenvalues 1 and -1 each odd part has even multiplicity
+    with pytest.raises(InputError, match="odd part of odd multiplicity"):
+        has_square_root_symplectic(_data(F3, *entries))
+
+
 # -- audits ------------------------------------------------------------------------------
 
 
