@@ -442,19 +442,8 @@ def _vector_table(field: Field, m: Matrix, weights: list[int], codes: array) -> 
     or, with m the transpose of h, a column of h x from the column of
     x."""
     q, n = field.q, len(m)
-    cols = list(zip(*m))
-    t = []
-    for r in codes:
-        v = [r // q**k % q for k in range(n)]
-        acc = 0
-        for col, w in zip(cols, weights):
-            e = 0
-            for x, y in zip(v, col):
-                if x and y:
-                    e = field.add(e, field.mul(x, y))
-            acc += e * w
-        t.append(acc)
-    return t
+    vectors = [[r // q**k % q for k in range(n)] for r in codes]
+    return [sum(map(operator.mul, vm, weights)) for vm in mat_mul(field, vectors, m)]
 
 
 def _check_member(spec: GroupSpec, field: Field, g: Matrix) -> None:

@@ -49,25 +49,22 @@ class Field:
     two logs needs no reduction, then q - 1 zeros), ``_zech`` (n ->
     log(1 + g^n) over two periods, so a difference of two logs indexes it
     directly; where 1 + g^n = 0 it holds 2(q - 1), which sends the sum into
-    the zeros of ``_exp``) and ``_neg``.  Instances are interned by
-    :func:`field_make`; identity of (p, k) implies identity of the modulus
-    and of the element encoding.
+    the zeros of ``_exp``).  Negation adds log(-1) = (q - 1)/2 and the
+    conjugation x -> x^sqrt(q) is a power, so neither needs a table of its
+    own.  Instances are interned by :func:`field_make`; identity of (p, k)
+    implies identity of the modulus and of the element encoding.
     """
 
-    __slots__ = ("p", "k", "q", "modulus_coeffs", "_exp", "_log", "_zech", "_neg",
-                 "_conj", "_ppows")
+    __slots__ = ("p", "k", "q", "modulus_coeffs", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, k: int, modulus_coeffs: tuple[int, ...] | None):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus_coeffs = modulus_coeffs
-        self._ppows = tuple(p**i for i in range(k + 1))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
-        self._neg: list[int] | None = None
-        self._conj: list[int] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.p == other.p and self.k == other.k
@@ -89,12 +86,6 @@ class Field:
             out.append(r)
         return tuple(out)
 
-    def from_digits(self, digits) -> int:
-        enc = 0
-        for i, d in enumerate(digits):
-            enc += d * self._ppows[i]
-        return enc
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -113,9 +104,11 @@ class Field:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        if not a:
+            return 0
         if self._log is None:
             self._build_tables()
-        return self._neg[a]
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -157,13 +150,13 @@ class Field:
         """The order-two automorphism x -> x^sqrt(q); requires square order."""
         if self.k % 2:
             raise InputError(f"{self!r} is not of square order")
-        if self._conj is None:
-            r = self.p ** (self.k // 2)
-            self._conj = [self.pow(x, r) for x in range(self.q)]
-        return self._conj[a]
+        return self.pow(a, self.p ** (self.k // 2))
 
     def multiplicative_generator(self) -> int:
-        """Smallest encoding generating the multiplicative group."""
+        """Smallest encoding generating the multiplicative group; for k > 1
+        that is the generator g the tables are built on."""
+        if self.k > 1:
+            return self._tables()[0][1]
         primes = list(factorint(self.q - 1))
         for g in range(1, self.q):
             if all(self.pow(g, (self.q - 1) // r) != 1 for r in primes):
@@ -178,23 +171,18 @@ class Field:
 
     # -- internals ---------------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """a * b through the base-p digits, reduced mod the modulus."""
-        base = field_make(self.p, 1)
-        prod = _mul(base, self.digits(a), self.digits(b))
-        return self.from_digits(_reduce(base, prod, self.modulus_coeffs))
-
     def _times(self, c: int):
         """a -> a * c, with no tables of logs.
 
         The base-p digits of a are cut into r chunks of h digits.  The
-        product of each chunk with c is precomputed with its digits in
+        product of each chunk with c is precomputed in the residue ring
+        F_p[y]/(modulus) of ``_residue_ring`` and stored with its digits in
         binary slots of s bits, wide enough to hold a sum of r digits, so
         a product is r lookups and integer additions, and then one lookup
         per chunk of h slots to take each slot mod p and go back to base p.
         h is the largest below k with 2^(h s) <= 2^12 lookup entries: with
         h = k one chunk covers the field, and building its products costs
-        one schoolbook product per element.  Only extension fields (k > 1)
+        one residue-ring product per element.  Only extension fields (k > 1)
         build such tables.
         """
         p, k = self.p, self.k
@@ -204,13 +192,15 @@ class Field:
         r = -(-k // h)
         s = (r * (p - 1)).bit_length()
         chunk, width = p**h, h * s
+        encode, mulmod, decode = _residue_ring(field_make(p, 1), self.modulus_coeffs)
+        packed_c = encode(self.digits(c))
 
         def slots(a: int) -> int:
-            return sum(d << s * j for j, d in enumerate(self.digits(a)))
+            prod = decode(mulmod(encode(self.digits(a)), packed_c))
+            return sum(d << s * j for j, d in enumerate(prod))
 
         products = [
-            [slots(self._raw_mul(u * chunk**i, c)) for u in range(p ** min(h, k - i * h))]
-            for i in range(r)
+            [slots(u * chunk**i) for u in range(p ** min(h, k - i * h))] for i in range(r)
         ]
         to_base_p = [0]
         for j in range(h):
@@ -249,16 +239,13 @@ class Field:
             exp[i] = cur
             log[cur] = i
             cur = times_gen(cur)
-        # 1 + g^n changes only the constant digit of g^n; -1 = g^(m/2).
+        # 1 + g^n changes only the constant digit of g^n
         zero = 2 * m
         zech = [0] * m
         for n, e in enumerate(exp):
             one_more = e - e % p + (e + 1) % p
             zech[n] = log[one_more] if one_more else zero
-        neg = [0] * q
-        for a in range(1, q):
-            neg[a] = exp[(log[a] + m // 2) % m]
-        self._log, self._neg = log, neg
+        self._log = log
         self._exp = exp + exp + [0] * m
         self._zech = zech + zech
 
@@ -932,8 +919,7 @@ def reciprocal(f: Poly) -> Poly:
     if f.constant_term() == 0:
         raise InputError("reciprocal requires a nonzero constant term")
     F = f.field
-    c0inv = F.inv(f.coeffs[0])
-    return Poly(F, tuple(F.mul(c0inv, c) for c in reversed(f.coeffs)))
+    return Poly(F, tuple(_scale(F, f.coeffs[::-1], F.inv(f.coeffs[0]))))
 
 
 def conj_reciprocal(f: Poly) -> Poly:

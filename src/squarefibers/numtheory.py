@@ -65,7 +65,7 @@ def _rho(n: int) -> int:
             g = gcd(abs(x - y), n)
         if g != n:
             return g
-    raise AssertionError("rho found no factor")  # unreachable for composite n
+    raise RuntimeError("rho found no factor")  # unreachable for composite n
 
 
 @lru_cache(maxsize=256)

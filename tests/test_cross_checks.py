@@ -22,8 +22,19 @@ ENV = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_module_has_no_assert_statement(module):
+    """No ``assert``, and no ``raise AssertionError``, which the CLI would
+    not map to exit 4."""
+
+    def raises_assertion_error(node) -> bool:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and raises_assertion_error(node)
+    ]
     assert lines == []
 
 

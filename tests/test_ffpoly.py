@@ -39,6 +39,8 @@ from squarefibers.limits import (
 )
 from squarefibers.numtheory import factorint, n_order
 
+from conftest import RefField
+
 
 # -- fields ------------------------------------------------------------------
 
@@ -92,9 +94,32 @@ def test_field_arithmetic_axioms_spotwise(q):
 )
 def test_chunked_product_equals_the_schoolbook_product(p, k):
     F = field_make(p, k)
+    R = RefField(F)
     for c in (1, p, F.q - 1, F.q // 2 + 1):
         times = F._times(c)
-        assert all(times(a) == F._raw_mul(a, c) for a in range(F.q))
+        assert all(times(a) == R.mul(a, c) for a in range(F.q))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (3, 7), (101, 2)])
+def test_table_derived_operations_match_the_reference_on_every_element(p, k):
+    """neg and conj read the exp/log tables, and the generator is the
+    tables' own; each is checked against digit-wise arithmetic."""
+    F = field_make(p, k)
+    R = RefField(F)
+    assert [F.neg(a) for a in range(F.q)] == [R.neg(a) for a in range(F.q)]
+    if k % 2:
+        with pytest.raises(InputError):
+            F.conj(1)
+    else:
+        root = p ** (k // 2)
+        conj = [F.conj(a) for a in range(F.q)]
+        assert conj == [R.pow(a, root) for a in range(F.q)]
+        assert [conj[c] for c in conj] == list(range(F.q))
+        fixed = {a for a in range(F.q) if conj[a] == a}
+        assert len(fixed) == root
+        assert all(R.add(a, b) in fixed and R.mul(a, b) in fixed for a in fixed for b in fixed)
+    least = next(g for g in range(1, F.q) if R.order(g) == F.q - 1)
+    assert F.multiplicative_generator() == least
 
 
 def test_frobenius_is_order_two_on_f9(F9):
