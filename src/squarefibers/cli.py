@@ -524,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--format", choices=("json", "csv"), default="json")
 
     subs = parser.add_subparsers(dest="verb", required=True)
+    parser.verb_parsers = subs.choices  # verb -> its subparser, for _parse_args
 
     cp = subs.add_parser("classify-poly", help="two-power family of an irreducible")
     cp.add_argument("--q", required=True, help="field order, q or p^k")
@@ -586,9 +587,27 @@ _CSV_WRITERS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass over the tokens.
+
+    When argv[0] names a verb, that verb's subparser parses the rest, as
+    the full parser would hand them to it.  With no verb, an unknown one
+    or tokens the verb does not take, the full parser parses argv, so
+    every usage, help and error text is argparse's own.
+    """
+    parser = build_parser()
+    sub = parser.verb_parsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
     with _unbounded_int_text():
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         try:
             payload, warnings = _HANDLERS[args.verb](args)
             if getattr(args, "format", "json") == "csv":

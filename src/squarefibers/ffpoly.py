@@ -575,7 +575,7 @@ class Poly(Record):
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
+        return ",".join(map(str, self.coeffs)) if self.coeffs else "0"
 
 
 # The slots' own setters, which skip the refusing __setattr__.

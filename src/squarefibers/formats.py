@@ -34,8 +34,8 @@ def field_from_text(text: str) -> Field:
         raise InputError(f"bad field spec {clip(repr(text))}") from exc
 
 
-def poly_to_text(f: Poly) -> str:
-    return ",".join(str(c) for c in f.coeffs)
+# A polynomial's text is its str; the codec and Poly share one writer.
+poly_to_text = Poly.__str__
 
 
 def poly_from_text(field: Field, text: str) -> Poly:

@@ -58,7 +58,12 @@ class ClassData(Record):
 
     @property
     def n(self) -> int:
-        return sum(f.degree * lam.weight for f, lam in self.entries)
+        total = 0
+        for f, lam in self.entries:
+            d = len(f.coeffs) - 1
+            for a, m in lam.pairs:
+                total += d * a * m
+        return total
 
     def as_dict(self) -> dict[Poly, Partition]:
         return dict(self.entries)
@@ -148,10 +153,12 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     """All conjugacy classes of GL_n(q), streamed in a fixed order.
 
     The class polynomials form one list sorted by (degree, coeffs).  Each
-    level of the recursion gives a partition to one polynomial that lies
-    after the previous level's in that list, so the depth is at most n
-    however many irreducibles there are.  Scanning the list from its end
-    down fixes the order in which classes are yielded.
+    level of the walk gives a partition to one polynomial that lies after
+    the previous level's in that list, so the depth is at most n however
+    many irreducibles there are.  Scanning the list from its end down
+    fixes the order in which classes are yielded.  The walk keeps one
+    choice iterator per open level on an explicit stack, so a class is
+    yielded from here rather than handed up through every level.
     """
     if n < 1:
         raise InputError("dimension must be positive")
@@ -166,28 +173,40 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     for d in range(1, n + 1):
         polys.extend(_class_polys(field, d))
         ends.append(len(polys))
-    acc: list[tuple[Poly, Partition]] = []
 
-    def rec(remaining: int, start: int) -> Iterator[ClassData]:
-        if remaining == 0:
-            yield ClassData(field, tuple(acc))
-            return
+    def choices(remaining: int, start: int):
+        """The entries one level can add, with the weight left after each
+        and where the next level starts."""
         for i in range(ends[remaining] - 1, start - 1, -1):
             f = polys[i]
-            d = f.degree
+            d = len(f.coeffs) - 1
             for w in range(1, remaining // d + 1):
+                rest = remaining - d * w
                 for lam in partitions_of(w):
-                    acc.append((f, lam))
-                    yield from rec(remaining - d * w, i + 1)
-                    acc.pop()
+                    yield (f, lam), rest, i + 1
 
-    yield from rec(n, 0)
+    acc: list[tuple[Poly, Partition]] = []  # one entry per level below the top
+    stack = [choices(n, 0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if acc:
+                acc.pop()
+            continue
+        entry, rest, start = step
+        if rest:
+            acc.append(entry)
+            stack.append(choices(rest, start))
+        else:
+            yield ClassData(field, (*acc, entry))
 
 
+@lru_cache(maxsize=4096)
 def block_centralizer_order(qd: int, lam: Partition) -> int:
     """The factor of one entry (f, lam) in a centralizer order, qd = q^deg f:
     qd^gamma(lam) times |GL_m(qd)| for each multiplicity m (1 when lam is
-    empty)."""
+    empty).  Memoized: a walk meets the same few (qd, lam) on every class."""
     if lam.is_empty():
         return 1
     out = qd ** gamma_exponent(lam)

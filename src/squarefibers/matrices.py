@@ -31,9 +31,9 @@ def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
         for j in range(m):
             acc = 0
             for t in range(inner):
-                x = a[i][t]
-                if x:
-                    acc = add(acc, mul(x, b[t][j]))
+                x, y = a[i][t], b[t][j]
+                if x and y:
+                    acc = add(acc, mul(x, y))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

@@ -1,6 +1,7 @@
 """CLI contract: payload shapes, exit codes, schema validation and
 byte-level determinism."""
 
+import argparse
 import hashlib
 import io
 import os
@@ -8,6 +9,7 @@ import tempfile
 import time
 import json
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from squarefibers.audits import AuditRecord
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
+from squarefibers import cli
 from squarefibers.cli import _audit_csv, report_to_json, run, write_json
 from squarefibers.ffpoly import (
     Poly,
@@ -1066,3 +1069,71 @@ def test_enumeration_verbs_with_fuzzed_arguments(argv):
         assert out and err == ""
     else:
         _assert_clean_exit(code, out, err)
+
+
+# -- the one-pass parse against argparse's own two-pass parse ----------------
+
+_CLASS_JSON = '{"entries":[{"poly":"1,1","partition":"1^2"}]}'
+
+
+def _parse_corpus(cache):
+    valid = [
+        ["classify-poly", "--q", "9", "--poly", "1,1", "--m", "4", "--timestamp"],
+        ["classes", "--n", "2", "--q", "3", "--format", "csv", "--timestamp"],
+        ["sqrt-count", "--group", "gl", "--n", "2", "--q", "3", "--class", _CLASS_JSON,
+         "--timestamp"],
+        ["audit-squares", "--group", "gl", "--n", "2", "--q", "3", "--oracle",
+         "--format", "csv", "--timestamp"],
+        ["real-classes", "--n", "2", "--q", "3", "--method", "ms", "--timestamp"],
+        ["oracle", "--kind", "gl", "--n", "1", "--q", "3", "--report", "s2",
+         "--cache", cache, "--timestamp"],
+        ["audit-squares", "--gr", "gl", "--n", "2", "--q", "3"],
+        ["sqrt-count", "--q", "3", f"--class={_CLASS_JSON}"],
+    ]
+    refused = [
+        ["-h"],
+        *([verb, "--help"] for verb in cli._HANDLERS),
+        [],
+        ["squares"],
+        ["classes", "--n", "2"],
+        ["classes", "--n", "x", "--q", "3"],
+        ["sqrt-count", "--group", "zz", "--q", "3", "--class", _CLASS_JSON],
+        ["real-classes", "--n", "2", "--q", "3", "--threads", "2"],
+    ]
+    return valid, refused
+
+
+def _run_counting_parses(monkeypatch, argv):
+    """(exit code, stdout, stderr, calls to argparse's _parse_known_args)
+    of one run; the timestamp's value is blanked."""
+    inner = argparse.ArgumentParser._parse_known_args
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return inner(self, *args, **kwargs)
+
+    out, err = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as m, redirect_stdout(out), redirect_stderr(err):
+        m.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stdout = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "T"', out.getvalue())
+    return code, stdout, err.getvalue(), len(calls)
+
+
+def test_one_pass_parse_matches_the_full_parse_byte_for_byte(monkeypatch, tmp_path):
+    valid, refused = _parse_corpus(str(tmp_path / "gl13.sqf"))
+    for argv in valid + refused:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
+            *full, full_calls = _run_counting_parses(monkeypatch, argv)
+        *once, once_calls = _run_counting_parses(monkeypatch, argv)
+        assert once == full, argv
+        if argv in valid:
+            assert once[0] == 0, (argv, once[2])
+            assert (once_calls, full_calls) == (1, 2), argv
+        else:
+            assert once[0] in (0, 2) and (once[1] or once[2]), argv

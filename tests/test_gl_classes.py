@@ -12,8 +12,11 @@ from squarefibers.brute_oracle import (
     conjugacy_classes,
     representative_index,
 )
-from squarefibers.ffpoly import Field, Poly, field_make
+from squarefibers.cli import run
+from squarefibers.ffpoly import Field, Poly, field_from_order, field_make, monic_irreducibles
 from squarefibers.gl_classes import (
+    ClassData,
+    block_centralizer_order,
     centralizer_order,
     class_count,
     class_size,
@@ -26,7 +29,7 @@ from squarefibers.gl_classes import (
 )
 from squarefibers.limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, ScaleLimitError
 from squarefibers.matrices import identity_matrix, mat_mul
-from squarefibers.partitions import Partition, partition_count
+from squarefibers.partitions import Partition, partition_count, partitions_of
 
 
 def _data(field, *entries):
@@ -60,6 +63,46 @@ def test_enumerate_classes_depth_is_bounded_by_n():
     # GL_2(49) has 1224 class polynomials; a recursion frame per
     # polynomial overflowed the interpreter stack here
     assert sum(1 for _ in enumerate_classes(2, 49)) == class_count(2, 49)
+
+
+def _recursive_walk(n, q):
+    """The class walk as one generator per level, handing each class up
+    through every level with ``yield from``: the reference order."""
+    field = field_from_order(q)
+    polys, ends = [], [0]
+    for d in range(1, n + 1):
+        polys.extend(f for f in monic_irreducibles(field, d) if f.constant_term() != 0)
+        ends.append(len(polys))
+    acc = []
+
+    def rec(remaining, start):
+        if remaining == 0:
+            yield ClassData(field, tuple(acc))
+            return
+        for i in range(ends[remaining] - 1, start - 1, -1):
+            f = polys[i]
+            for w in range(1, remaining // f.degree + 1):
+                for lam in partitions_of(w):
+                    acc.append((f, lam))
+                    yield from rec(remaining - f.degree * w, i + 1)
+                    acc.pop()
+
+    yield from rec(n, 0)
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (3, 3), (4, 7), (5, 5), (2, 25), (3, 9)])
+def test_flat_walk_yields_the_recursive_walk_in_order(n, q):
+    flat = list(enumerate_classes(n, q))
+    assert flat == list(_recursive_walk(n, q))
+    assert len(flat) == class_count(n, q)
+
+
+def test_block_centralizer_memo_stays_within_its_bound(capsys):
+    assert run(["real-classes", "--n", "6", "--q", "3"]) == 0
+    capsys.readouterr()
+    info = block_centralizer_order.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
 
 
 def test_class_count_bound_refuses_every_n_past_the_weight_bound():

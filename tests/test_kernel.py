@@ -7,6 +7,7 @@ checked against schoolbook routines that call one field operation at a time.
 """
 
 import os
+import random
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import squarefibers
 from squarefibers import ffpoly
 from squarefibers.ffpoly import Poly, field_from_order, gcd, pow_mod
+from squarefibers.matrices import mat_mul
 
 from conftest import RefField
 
@@ -187,3 +189,31 @@ def test_pow_mod_builds_the_residue_ring_once_per_modulus(q):
     pow_mod(Poly(F, (0, 1)), q, Poly(F, tuple(F.mul(2, c) for c in modulus.coeffs)))
     info = ffpoly._residue_ring.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_mat_mul_matches_the_dense_product_on_sparse_matrices(q):
+    # the reference multiplies every pair of entries, zeros included;
+    # mat_mul skips a zero on either side
+    F = field_from_order(q)
+    R = RefField(F)
+    rng = random.Random(q)
+    for _ in range(40):
+        n, inner, m = (rng.randint(1, 5) for _ in range(3))
+        density = rng.choice([0.0, 0.3, 0.7, 1.0])
+
+        def entry():
+            return rng.randrange(1, q) if rng.random() < density else 0
+
+        a = tuple(tuple(entry() for _ in range(inner)) for _ in range(n))
+        b = tuple(tuple(entry() for _ in range(m)) for _ in range(inner))
+        dense = []
+        for row in a:
+            out = []
+            for j in range(m):
+                acc = 0
+                for t in range(inner):
+                    acc = R.add(acc, R.mul(row[t], b[t][j]))
+                out.append(acc)
+            dense.append(tuple(out))
+        assert mat_mul(F, a, b) == tuple(dense)
