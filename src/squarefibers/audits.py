@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .gl_classes import class_size, enumerate_classes, gl_order
+from .gl_classes import centralizer_order, class_size, enumerate_classes, gl_order
 from .records import Record
 from .square_fibers import (
     ClosedFormUndefined,
@@ -55,7 +55,7 @@ def square_count_audit(
             count = count_square_roots(data)
             exists = has_square_root_gl(data)
             values = [
-                ("class_size", str(class_size(data))),
+                ("class_size", str(class_size(data, centralizer_order(data)))),
                 ("centralizer_index_sum", str(count)),
                 ("has_square_root", str(exists).lower()),
             ]

@@ -183,10 +183,11 @@ def _cmd_classify_poly(args) -> tuple[dict, list[str]]:
 
 
 def _class_record(data) -> dict:
+    centralizer = centralizer_order(data)
     return {
         "class": class_data_to_json(data),
-        "centralizer_order": str(centralizer_order(data)),
-        "class_size": str(class_size(data)),
+        "centralizer_order": str(centralizer),
+        "class_size": str(class_size(data, centralizer)),
         "element_order": str(element_order_of_class(data)),
         "real": inverse_class(data) == data,
     }

@@ -224,8 +224,9 @@ def centralizer_order(data: ClassData) -> int:
     return out
 
 
-def class_size(data: ClassData) -> int:
-    size, rem = divmod(gl_order(data.n, data.field.q), centralizer_order(data))
+def class_size(data: ClassData, centralizer: int) -> int:
+    """|GL_n(q)| / |Z(x)|, given centralizer = centralizer_order(data)."""
+    size, rem = divmod(gl_order(data.n, data.field.q), centralizer)
     if rem:
         raise RuntimeError(f"centralizer order does not divide the group order: {data}")
     return size

@@ -2,9 +2,11 @@
 
 For odd q and a monic irreducible f != x, f(x^2) is either irreducible
 or splits into exactly two distinct irreducibles of the same degree as
-f; the two outcomes drive the whole square-root theory.  ``classify2``
-factors f(x^2) with one modular power and two gcds, so its verdict comes
-from polynomial gcds and never from the order of a root.
+f; the two outcomes drive the whole square-root theory.  The verdict
+comes from the quadratic character of the norm of a root of f
+(``is_two_power``), never from the order of a root; ``classify2`` takes
+the two factors of a split f(x^2) from one modular power and two gcds,
+and a gcd outcome that contradicts the norm verdict aborts loudly.
 The profile of f(x^m) for general m coprime to q is available as an
 independent, formula-driven route and is audited against direct
 factorization.
@@ -135,6 +137,20 @@ def butler_profile(f: Poly, m: int) -> ButlerProfile:
     return profile
 
 
+def is_two_power(f: Poly) -> bool:
+    """True iff f(x^2) splits, that is iff (-1)^d f(0) is a square in F_q.
+
+    For a root b of f, d = deg f, b^((q^d - 1)/2) = N(b)^((q - 1)/2), where
+    the norm N(b) = b^((q^d - 1)/(q - 1)) is the product of the d roots,
+    (-1)^d f(0); so b is a square in F_{q^d}, which is when the roots +-sqrt(b)
+    of f(x^2) lie in F_{q^d}, exactly when N(b) is a square in F_q.  f must
+    be a monic irreducible other than x; it is not checked.
+    """
+    F = f.field
+    c = f.coeffs[0]
+    return F.is_square(F.neg(c) if f.degree % 2 else c)
+
+
 # How many field elements classify2 tries as the shift a of x + a: a cap, so
 # the search costs the same for every q.
 _SHIFT_TRIES = 16
@@ -144,9 +160,10 @@ _SHIFT_TRIES = 16
 def classify2(f: Poly):
     """SkewTwoPower if g = f(x^2) is irreducible, else the sorted TwoPower pair.
 
-    Let d = deg f, e = (q^d - 1)/2 and r = x + a with a in F_q and
-    g(a) != 0 (a = 0 qualifies, as g(0) = f(0) != 0); take s = r^e mod g,
-    plus = gcd(s - 1, g) and minus = gcd(s + 1, g).
+    The verdict is :func:`is_two_power`'s, and a skew f costs nothing
+    more.  For a two-power f, let d = deg f, e = (q^d - 1)/2 and r = x + a
+    with a in F_q and g(a) != 0 (a = 0 qualifies, as g(0) = f(0) != 0);
+    take s = r^e mod g, plus = gcd(s - 1, g) and minus = gcd(s + 1, g).
     For a root b of g, b^2 is a root of f, so F_q(b) contains F_{q^d} and
     has degree d or 2d, and b + a != 0.  If b lies in F_{q^d}, so does
     b + a, and (b + a)^e = +-1: b is a root of plus or of minus.  If not,
@@ -154,7 +171,8 @@ def classify2(f: Poly):
     with b running over one Frobenius orbit, so they all lie in F_{q^d} or
     none does, and the degrees of (plus, minus) decide:
 
-    - (0, 0): every root of g has degree 2d, so g is irreducible;
+    - (0, 0): every root of g has degree 2d, so g is irreducible, which
+      contradicts the norm verdict;
     - (d, d): plus * minus = g, and each factor is irreducible, since its
       roots have degree d;
     - (0, 2d) or (2d, 0): g, squarefree as f is and f(0) != 0, is a
@@ -166,22 +184,22 @@ def classify2(f: Poly):
     non-square.  When g splits with b a root of one factor, g(a) is the
     product of the norms from F_{q^d} of a + b and a - b, so their
     quadratic characters differ and plus, minus get one factor each.  The
-    verdict never reads that character, only the gcd degrees; any other
-    pair of degrees contradicts the odd-characteristic dichotomy and
-    aborts loudly.  f must be a monic irreducible other than x; it is not
-    checked.
+    factors never read that character, only the gcd degrees; (0, 0), or
+    any other pair of degrees, contradicts the norm verdict or the
+    odd-characteristic dichotomy and aborts loudly.  f must be a monic
+    irreducible other than x; it is not checked.
     """
     F = f.field
     d = f.degree
     g = substitute_power(f, 2)
+    if not is_two_power(f):
+        return SkewTwoPower(g)
     shifts = range(min(F.q, _SHIFT_TRIES))
     a = next((a for a in shifts if not F.is_square(evaluate(f, F.mul(a, a)))), 0)
     s = pow_mod(Poly(F, (a, 1)), (F.q**d - 1) // 2, g)
     one = poly_one(F)
     plus, minus = gcd(s - one, g), gcd(s + one, g)
     degrees = plus.degree, minus.degree
-    if degrees == (0, 0):
-        return SkewTwoPower(g)
     if degrees == (d, d):
         factors = [plus, minus]
     elif sorted(degrees) == [0, 2 * d]:

@@ -17,6 +17,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .gl_classes import (
+    centralizer_order,
     class_size,
     element_order_of_class,
     enumerate_classes,
@@ -42,7 +43,7 @@ def _order_histogram(n: int, q: int) -> MappingProxyType:
     hist: dict[int, int] = {}
     for data in enumerate_classes(n, q):
         order = element_order_of_class(data)
-        hist[order] = hist.get(order, 0) + class_size(data)
+        hist[order] = hist.get(order, 0) + class_size(data, centralizer_order(data))
     return MappingProxyType(hist)
 
 
@@ -117,7 +118,7 @@ def s2_cardinality(n: int, q: int) -> int:
     mass = 0
     s2 = 0
     for data in enumerate_classes(n, q):
-        size = class_size(data)
+        size = class_size(data, centralizer_order(data))
         r = count_square_roots(data)
         mass += size * r
         s2 += size * r * r

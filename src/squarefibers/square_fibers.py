@@ -42,6 +42,7 @@ from .power_poly import (
     classify2,
     classify2_star,
     classify2_tilde,
+    is_two_power,
 )
 from .records import Record
 
@@ -122,7 +123,7 @@ def square_class(data: ClassData) -> ClassData:
 
 def _two_power_or_even(f: Poly, lam: Partition) -> bool:
     """The GL clause of one entry: f two-power, or every multiplicity even."""
-    return isinstance(classify2(f), TwoPower) or lam.all_multiplicities_even()
+    return is_two_power(f) or lam.all_multiplicities_even()
 
 
 def _power_or_even_skew(family: ReciprocalFamily, lam: Partition) -> bool:
@@ -197,8 +198,8 @@ def count_square_roots(data: ClassData) -> int:
     The product over the entries (f, lam) of :func:`_block_value` at
     (q^deg f, lam), with f two-power when its roots are squares in
     F_{q^deg f}, that is when their order divides (q^deg f - 1) / 2.  The
-    root classes that :func:`square_root_classes` lists, and the
-    factorization that :func:`has_square_root_gl` reads, are not used.
+    root classes that :func:`square_root_classes` lists, and the norm test
+    that :func:`has_square_root_gl` reads, are not used.
     """
     q = data.field.q
     total = 1
@@ -258,8 +259,7 @@ def closed_form_count(data: ClassData) -> int:
     q = data.field.q
     total = Fraction(1)
     for f, lam in data.entries:
-        cls = classify2(f)
-        if isinstance(cls, SkewTwoPower):
+        if not is_two_power(f):
             total *= 2 ** len(lam.pairs) - 1
             continue
         gamma = Fraction(0)

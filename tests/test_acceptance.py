@@ -30,7 +30,13 @@ from squarefibers.ffpoly import (
     substitute_power,
 )
 from squarefibers.audits import existence_audit, square_count_audit
-from squarefibers.gl_classes import class_size, enumerate_classes, gl_order, make_class_data
+from squarefibers.gl_classes import (
+    centralizer_order,
+    class_size,
+    enumerate_classes,
+    gl_order,
+    make_class_data,
+)
 from squarefibers.partitions import Partition
 from squarefibers.power_poly import butler_profile
 from squarefibers.real_classes import (
@@ -60,7 +66,7 @@ def test_criterion_01_class_mass():
     with criterion(1, "class sizes sum to |GL_n(q)| on the desk matrix"):
         start = time.monotonic()
         for n, q in MASS_SET:
-            total = sum(class_size(d) for d in enumerate_classes(n, q))
+            total = sum(class_size(d, centralizer_order(d)) for d in enumerate_classes(n, q))
             assert total == gl_order(n, q), (n, q)
         assert time.monotonic() - start < 10
 
@@ -107,7 +113,8 @@ def test_criterion_04_mass_conservation():
     with criterion(4, "sum of |C| * R(C) equals |GL_n(q)| on the desk matrix"):
         for n, q in MASS_SET:
             total = sum(
-                class_size(d) * count_square_roots(d) for d in enumerate_classes(n, q)
+                class_size(d, centralizer_order(d)) * count_square_roots(d)
+                for d in enumerate_classes(n, q)
             )
             assert total == gl_order(n, q), (n, q)
 

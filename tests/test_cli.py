@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from squarefibers.audits import AuditRecord
 from squarefibers.brute_oracle import ElementTable, GroupSpec, build_table, save_table
-from squarefibers import cli
+from squarefibers import cli, gl_classes
 from squarefibers.cli import _audit_csv, report_to_json, run, write_json
 from squarefibers.ffpoly import (
     Poly,
@@ -150,6 +150,21 @@ def test_classes_csv():
     lines = out.strip().splitlines()
     assert lines[0] == "index,entries,centralizer_order,class_size,element_order,real"
     assert len(lines) == 9
+
+
+def test_classes_computes_one_centralizer_order_per_class(monkeypatch):
+    calls = []
+    order = gl_classes.centralizer_order
+
+    def counted(data):
+        calls.append(data)
+        return order(data)
+
+    for module in (cli, gl_classes):
+        monkeypatch.setattr(module, "centralizer_order", counted)
+    code, out, _ = invoke(["classes", "--n", "7", "--q", "3", "--format", "csv"])
+    assert code == 0
+    assert out.count("\n") - 1 == len(calls) == len(set(calls)) == 2152
 
 
 def test_sqrt_count_minus_identity():

@@ -75,14 +75,18 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
     ("brute_oracle.mat_rank = lambda field, a: 1",
      "brute_oracle.class_data_of_element(F, ((1, 0), (0, 1)))",
      "class data of weight 1 for a 2 x 2 matrix"),
+    ("power_poly.is_two_power = lambda f: True",
+     "power_poly.classify2(Poly(F, (1, 1)))",
+     "f(x^2) for f=1,1 over F_3 violates the two-factor dichotomy"),
 ], ids=["mass", "square-class", "factorize", "subfield", "square-minpoly", "classify2",
-        "necklace", "distinct-codes", "rank-divisibility", "rank-weight"])
+        "necklace", "distinct-codes", "rank-divisibility", "rank-weight", "classify2-norm"])
 def test_cross_checks_survive_python_O(patch, call, message):
     # GL_2(3) has 48 elements, not 47; over F_3, x + 1 does not square to
     # itself, and x^2 + 1 is irreducible, so x + 1 is not a two-power factor.
     # No factor, a collapsed sum, an odd term, x * x for x^2 - 1, 9 / 2
-    # irreducibles, one code twice, and ranks of 1 throughout: each is a
-    # wrong value that only its check stands between and a wrong answer.
+    # irreducibles, one code twice, ranks of 1 throughout, and a norm test
+    # that calls the skew x + 1 two-power: each is a wrong value that only
+    # its check stands between and a wrong answer.
     probe = (
         "assert False, 'asserts are on'\n"
         "from squarefibers import brute_oracle, ffpoly, gl_classes, power_poly\n"

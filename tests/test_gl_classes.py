@@ -125,7 +125,8 @@ def test_gl1_classes_are_the_nonzero_scalars(F3):
 
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (2, 7)])
 def test_class_mass_equals_group_order(n, q):
-    assert sum(class_size(d) for d in enumerate_classes(n, q)) == gl_order(n, q)
+    sizes = (class_size(d, centralizer_order(d)) for d in enumerate_classes(n, q))
+    assert sum(sizes) == gl_order(n, q)
 
 
 def test_centralizer_order_examples(F3):
@@ -135,9 +136,11 @@ def test_centralizer_order_examples(F3):
 
 
 def test_class_size_examples(F3):
-    assert class_size(_data(F3, ((2, 1), [(2, 1)]))) == 8
-    assert class_size(_data(F3, ((1, 0, 1), [(1, 1)]))) == 6
-    assert class_size(_data(F3, ((2, 1), [(1, 2)]))) == 1
+    assert class_size(_data(F3, ((2, 1), [(2, 1)])), 6) == 8
+    assert class_size(_data(F3, ((1, 0, 1), [(1, 1)])), 8) == 6
+    assert class_size(_data(F3, ((2, 1), [(1, 2)])), 48) == 1
+    with pytest.raises(RuntimeError, match="does not divide the group order"):
+        class_size(_data(F3, ((2, 1), [(1, 2)])), 5)
 
 
 def test_centralizer_divides_group_order():
@@ -163,7 +166,8 @@ def test_inverse_class_is_involution_preserving_size():
     for d in enumerate_classes(3, 3):
         inv = inverse_class(d)
         assert inverse_class(inv) == d
-        assert class_size(inv) == class_size(d)
+        size = class_size(d, centralizer_order(d))
+        assert class_size(inv, centralizer_order(inv)) == size
 
 
 def test_inverse_class_against_oracle():
@@ -215,7 +219,7 @@ def test_class_sizes_match_oracle_orbits(n, q):
         data = class_data_of_element(table.field, table.matrix(cls[0]))
         sizes[data] = len(cls)
     for data in enumerate_classes(n, q):
-        assert class_size(data) == sizes[data]
+        assert class_size(data, centralizer_order(data)) == sizes[data]
 
 
 @settings(max_examples=40, deadline=None)

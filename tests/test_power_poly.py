@@ -32,6 +32,7 @@ from squarefibers.power_poly import (
     classify2_tilde,
     is_self_conjugate,
     is_self_reciprocal,
+    is_two_power,
 )
 
 
@@ -155,8 +156,9 @@ def test_classify2_equals_the_general_factorization(monkeypatch):
         else:
             want[f] = TwoPower(*(g for g, _ in factors))
 
-    # Ben-Or must not run: classify2's verdict comes from its own gcds, and
-    # got == want compares its factors with factorize's.
+    # Ben-Or must not run: classify2's verdict comes from the norm test and
+    # its factors from its own gcds, and got == want compares them with
+    # factorize's.
     def no_ben_or(f):
         raise AssertionError(f"distinct-degree split of {f}")
 
@@ -181,6 +183,21 @@ def test_classify2_equals_the_general_factorization(monkeypatch):
     assert set(outcomes) == {"skew", "first gcds", "fallback"}, outcomes
     # the shift a makes the first gcds split almost every two-power f
     assert outcomes["fallback"] * 10 < len(listed), outcomes
+
+
+def test_norm_verdict_equals_factorization_and_gcds():
+    # is_two_power reads only the quadratic character of (-1)^d f(0), and
+    # factorize decides the same without it; classify2 returns the norm
+    # verdict, and raises when its gcds find a two-power f(x^2) irreducible
+    kinds = Counter()
+    for q, max_deg in REFERENCE_GRID.items():
+        for d in range(1, max_deg + 1):
+            for f in _irreducibles_without_x(field_from_order(q), d):
+                verdict = is_two_power(f)
+                assert verdict == (len(factorize(substitute_power(f, 2))) == 2), f
+                assert verdict == isinstance(classify2.__wrapped__(f), TwoPower), f
+                kinds[verdict] += 1
+    assert kinds[True] and kinds[False], kinds
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -23,7 +23,10 @@ from squarefibers.real_classes import (
     real_class_count_ms,
 )
 from squarefibers.square_fibers import (
+    ClosedFormUndefined,
+    closed_form_count,
     count_square_roots,
+    has_square_root_gl,
     square_class,
     square_root_classes,
 )
@@ -134,8 +137,35 @@ def test_fiber_count_reaches_neither_classify2_nor_factorize(reached):
     classes = list(enumerate_classes(3, 3))
     names = reached(lambda: [count_square_roots(data) for data in classes])
     assert "square_fibers.count_square_roots" in names
+    assert "power_poly.is_two_power" not in names
     assert "power_poly.classify2" not in names
     assert "ffpoly.factorize" not in names
+
+
+def test_existence_and_closed_form_read_only_the_norm_test(reached):
+    # the two-power verdict is the norm's quadratic character: no modular
+    # power, no gcd, no factorization of f(x^2) and no root order
+    classes = list(enumerate_classes(3, 3)) + list(enumerate_classes(2, 9))
+
+    def route():
+        for data in classes:
+            if has_square_root_gl(data):
+                try:
+                    closed_form_count(data)
+                except ClosedFormUndefined:
+                    pass
+
+    names = reached(route)
+    assert {"power_poly.is_two_power", "square_fibers.closed_form_count"} <= names
+    for name in ("ffpoly.pow_mod", "ffpoly.gcd", "power_poly.classify2", "ffpoly.root_order"):
+        assert name not in names, name
+
+
+def test_square_audit_takes_no_modular_power(reached, capsys):
+    names = reached(lambda: cli.run(["audit-squares", "--n", "3", "--q", "5"]))
+    capsys.readouterr()
+    assert "audits.square_count_audit" in names
+    assert "ffpoly.pow_mod" not in names
 
 
 def test_factorize_reaches_no_root_order_nor_butler_profile(reached):

@@ -13,6 +13,7 @@ from squarefibers.brute_oracle import (
 )
 from squarefibers.ffpoly import Poly, field_from_order
 from squarefibers.gl_classes import (
+    centralizer_order,
     class_size,
     enumerate_classes,
     gl_order,
@@ -121,7 +122,7 @@ def test_block_product_equals_the_root_class_count(n, q):
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 3), (2, 5)])
 def test_mass_conservation(n, q):
     total = sum(
-        class_size(d) * count_square_roots(d) for d in enumerate_classes(n, q)
+        class_size(d, centralizer_order(d)) * count_square_roots(d) for d in enumerate_classes(n, q)
     )
     assert total == gl_order(n, q)
 
@@ -195,6 +196,24 @@ def test_closed_form_on_identity_disagrees(F3):
 def test_closed_form_undefined_on_odd_multiplicity_two_power(F3):
     with pytest.raises(ClosedFormUndefined):
         closed_form_count(_data(F3, ((2, 1), [(1, 1)])))  # GL_1 identity
+
+
+def test_closed_form_worked_by_hand(F3):
+    # Over F_3, x - 1 and x^2 + 1 are two-power ((-1)^d f(0) = 1, a square)
+    # and x + 1 is skew ((-1)^1 * 1 = 2, a non-square).
+    # Skew x + 1 with lam = 1^2 2^2: 2^(2 distinct parts) - 1 = 3.
+    assert closed_form_count(_data(F3, ((1, 1), [(1, 2), (2, 2)]))) == 3
+    # x - 1 with lam = 1^2 2^2: gamma = 3*1*2*2/4 (u=1 < v=2) + 3*(2-1)*2^2/4
+    # (u=2) = 3 + 3 = 6, and each m = 2 gives |GL_2(3)|/|GL_1(9)| = 48/8 = 6,
+    # so 3^6 * 36 = 26244.  x^2 + 1 (d = 2) with lam = 2^2: gamma = 3, and
+    # |GL_2(9)|/|GL_1(81)| = 5760/80 = 72, so 3^3 * 72 = 1944, the power
+    # being of q, not of q^d, as printed.  The product is 26244 * 1944.
+    two_power = _data(F3, ((2, 1), [(1, 2), (2, 2)]), ((1, 0, 1), [(2, 2)]))
+    assert closed_form_count(two_power) == 26244 * 1944 == 51018336
+    # x - 1 with lam = 2^1: gamma = 3*(2-1)*1^2/4 = 3/4
+    with pytest.raises(ClosedFormUndefined) as caught:
+        closed_form_count(_data(F3, ((2, 1), [(2, 1)])))
+    assert caught.value.reason == "fractional exponent gamma = 3/4"
 
 
 # -- unitary / symplectic predicates ---------------------------------------------------
