@@ -45,6 +45,7 @@ from .gl_classes import (
     enumerate_classes,
     gl_order,
     inverse_class,
+    real_class_product,
 )
 from .limits import InputError, ScaleLimitError, clip
 from .power_poly import (
@@ -182,19 +183,32 @@ def _cmd_classify_poly(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _class_record(data) -> dict:
-    centralizer = centralizer_order(data)
-    return {
-        "class": class_data_to_json(data),
-        "centralizer_order": str(centralizer),
-        "class_size": str(class_size(data, centralizer)),
-        "element_order": str(element_order_of_class(data)),
-        "real": inverse_class(data) == data,
-    }
+def _class_rows(n: int, q: int) -> Iterator[dict]:
+    """The rows of ``classes``, then two checks after the last: the class
+    sizes sum to |GL_n(q)|, and the real rows number real_class_product."""
+    total = real = 0
+    for data in enumerate_classes(n, q):
+        centralizer = centralizer_order(data)
+        size = class_size(data, centralizer)
+        is_real = inverse_class(data) == data
+        total += size
+        real += is_real
+        yield {
+            "class": class_data_to_json(data),
+            "centralizer_order": str(centralizer),
+            "class_size": str(size),
+            "element_order": str(element_order_of_class(data)),
+            "real": is_real,
+        }
+    if total != gl_order(n, q):
+        raise RuntimeError(f"the class sizes sum to {total}, not to the group order")
+    product = real_class_product(n, q)
+    if real != product:
+        raise RuntimeError(f"{real} rows are real, the product formula gives {product}")
 
 
 def _cmd_classes(args) -> tuple[dict, list[str]]:
-    records = _started(map(_class_record, enumerate_classes(args.n, args.q)))
+    records = _started(_class_rows(args.n, args.q))
     payload = {
         "n": args.n,
         "q": str(args.q),

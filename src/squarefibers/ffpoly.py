@@ -36,7 +36,7 @@ from .limits import (
     clip,
     exceeds,
 )
-from .numtheory import divisors, factorint
+from .numtheory import divisors, factorint, odd_prime_power
 from .records import Record
 
 
@@ -283,15 +283,7 @@ def field_make(p: int, k: int) -> Field:
 @lru_cache(maxsize=None)
 def field_from_order(q: int) -> Field:
     """F_q from its order; q must be an odd prime power."""
-    if not isinstance(q, int) or q < 3:
-        raise InputError(f"bad field order {clip(q)}")
-    if q > MAX_FIELD_ORDER:
-        raise ScaleLimitError(f"field order {clip(q)} exceeds {MAX_FIELD_ORDER}")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise InputError(f"{q} is not a prime power")
-    (p, k), = fac.items()
-    return field_make(p, k)
+    return field_make(*odd_prime_power(q))
 
 
 # -- coefficient-list kernel ---------------------------------------------------

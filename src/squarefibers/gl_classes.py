@@ -21,7 +21,7 @@ from .ffpoly import (
     root_order,
 )
 from .limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, InputError, ScaleLimitError, clip
-from .numtheory import divisors, mobius
+from .numtheory import divisors, mobius, odd_prime_power
 from .partitions import Partition, gamma_exponent, partition_count, partitions_of
 from .records import Record
 
@@ -119,6 +119,20 @@ def class_count(n: int, q: int) -> int:
     return series[n]
 
 
+def real_class_product(n: int, q: int) -> int:
+    """Number of real classes of GL_n(q), q odd, by the product formula:
+    the coefficient of z^n in prod_{i >= 1} (1 + z^i)^2 / (1 - q z^(2i))
+    (Gill and Singh, 2011).  Its own series code: no class walk and no class count."""
+    series = [1] + [0] * n
+    for i in range(1, n + 1):
+        for _ in range(2):  # times 1 + z^i
+            for k in range(n, i - 1, -1):
+                series[k] += series[k - i]
+        for k in range(2 * i, n + 1):  # over 1 - q z^(2i)
+            series[k] += q * series[k - 2 * i]
+    return series[n]
+
+
 def series_mul(a: list, b: list, n: int) -> list:
     """Product of two power series truncated at degree n.  The
     coefficients may be int or Fraction."""
@@ -149,6 +163,19 @@ def _class_polys(field: Field, d: int) -> tuple[Poly, ...]:
     return polys
 
 
+def check_class_walk(n: int, q: int) -> None:
+    """Refuse a walk over the classes of GL_n(q) that the limits forbid,
+    before any of its work; every class walk makes these checks."""
+    if n < 1:
+        raise InputError("dimension must be positive")
+    odd_prime_power(q)
+    # GL_n(q) has at least p(n) classes (one unipotent class per partition),
+    # and p(n) > p(MAX_PARTITION_WEIGHT) > MAX_CLASS_COUNT for any larger n:
+    # such an n is refused before its class count is formed
+    if n > MAX_PARTITION_WEIGHT or class_count(n, q) > MAX_CLASS_COUNT:
+        raise ScaleLimitError(f"GL_{clip(n)}({q}) has more than {MAX_CLASS_COUNT} classes")
+
+
 def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     """All conjugacy classes of GL_n(q), streamed in a fixed order.
 
@@ -160,14 +187,8 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassData]:
     choice iterator per open level on an explicit stack, so a class is
     yielded from here rather than handed up through every level.
     """
-    if n < 1:
-        raise InputError("dimension must be positive")
+    check_class_walk(n, q)
     field = field_from_order(q)
-    # GL_n(q) has at least p(n) classes (one unipotent class per partition),
-    # and p(n) > p(MAX_PARTITION_WEIGHT) > MAX_CLASS_COUNT for any larger n:
-    # such an n is refused before its class count is formed
-    if n > MAX_PARTITION_WEIGHT or class_count(n, q) > MAX_CLASS_COUNT:
-        raise ScaleLimitError(f"GL_{clip(n)}({q}) has more than {MAX_CLASS_COUNT} classes")
     polys: list[Poly] = []
     ends = [0]  # ends[r]: how many class polynomials have degree <= r
     for d in range(1, n + 1):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
 
-from .limits import MAX_FACTORED_INTEGER, ScaleLimitError, clip
+from .limits import MAX_FACTORED_INTEGER, MAX_FIELD_ORDER, InputError, ScaleLimitError, clip
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -124,3 +124,19 @@ def n_order(a: int, n: int) -> int:
         while t % p == 0 and pow(a, t // p, n) == 1:
             t //= p
     return t
+
+
+def odd_prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, once q passes the checks of a field order: an
+    odd prime power, at most MAX_FIELD_ORDER."""
+    if not isinstance(q, int) or q < 3:
+        raise InputError(f"bad field order {clip(q)}")
+    if q > MAX_FIELD_ORDER:
+        raise ScaleLimitError(f"field order {clip(q)} exceeds {MAX_FIELD_ORDER}")
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise InputError(f"{q} is not a prime power")
+    (p, k), = fac.items()
+    if p == 2:
+        raise InputError("even characteristic is not supported")
+    return p, k

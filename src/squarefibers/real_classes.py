@@ -1,34 +1,48 @@
 """Real conjugacy classes of GL_n(q), counted three independent ways.
 
-The direct route tests each class for inversion-invariance; the
+The direct route counts the classes that inversion fixes; the
 Murray-Sambale route divides |{(g,h): g^2 h^2 = 1}| by the group order;
 a q-series route recovers the counts of M-th roots of identity that the
 published class-counting statement consumes.  A verbatim evaluator of
 that statement is kept for audits under both readings of its order
 counts; it is not trusted.  The audit that tabulates every route is
 :func:`squarefibers.audits.audit_real_counts`.
+
+The class walks of the first two routes, and the order histogram the
+q-series is checked against, read orbit labels, not polynomials.  A
+monic irreducible f != x of degree d over F_q is a Frobenius orbit
+{e, eq, eq^2, ...} of size d in Z/(q^d - 1), the exponents of its roots
+against a generator of F_{q^d}^*, and every fact the walks read is
+integer arithmetic on that orbit: the root order is
+(q^d - 1)/gcd(e, q^d - 1), the reciprocal is the orbit of -e, and the
+roots are squares (f two-power) exactly when e is even (Green, 1955;
+Macdonald, Symmetric Functions and Hall Polynomials, ch. IV).  A class
+is a set of (label, partition) entries, so no walk lists a polynomial
+or builds an extension-field table.  ``tests/test_orbit_labels.py`` ties
+the labels to the polynomials they stand for.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .gl_classes import (
-    centralizer_order,
-    class_size,
-    element_order_of_class,
-    enumerate_classes,
+    block_centralizer_order,
+    check_class_walk,
     gl_order,
-    inverse_class,
+    real_class_product,
     series_mul,
     series_pow,
 )
-from .limits import InputError
-from .numtheory import divisors, n_order, totient
-from .square_fibers import count_square_roots
+from .limits import MAX_FIELD_ORDER, InputError, ScaleLimitError, exceeds
+from .numtheory import divisors, factorint, n_order, totient
+from .partitions import partition_count, partitions_of
+from .records import Record
+from .square_fibers import _block_value
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
 # The M of the counts of g^M = 1 that the published statement consumes
@@ -36,14 +50,144 @@ THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
 UNITY_ROOT_ORDERS = (2, 4)
 
 
+class OrbitLabels(Record):
+    """The Frobenius orbits of size d in Z/(q^d - 1), one label each.
+
+    ``exponents[i]`` is the least element e of label i, and
+    ``negation[i]`` the index of the label of -e.  ``groups`` holds
+    (t, lo, hi), t ascending: labels lo to hi - 1 are those of root order
+    t, and that order fixes their parity, for e is even exactly when t
+    divides (q^d - 1)/2.  Negation keeps t, and within a group either
+    every label is its own negation (when -1 is a power of q mod t) or
+    the labels come in adjacent pairs, i and i + 1, that negate to each
+    other.
+    """
+
+    __slots__ = ("exponents", "negation", "groups")
+
+    def __init__(self, exponents: array, negation: array, groups: tuple):
+        self._set(exponents, negation, groups)
+
+
+@lru_cache(maxsize=None)
+def orbit_labels(q: int, d: int) -> OrbitLabels:
+    """The labels of degree d over F_q, by root order.
+
+    The exponents of root order t are (q^d - 1)/t times the units u mod t,
+    and the orbits among them are the cosets u<q> of the units, of size d
+    exactly when q has order d mod t.  The least u of each coset is met
+    first in a scan of the units, and its negation coset, -u<q>, is taken
+    at once.  Needs q^d <= MAX_FIELD_ORDER, as the polynomial lists do.
+    """
+    if exceeds(q, d, MAX_FIELD_ORDER):
+        raise ScaleLimitError(f"field order {q}^{d} exceeds {MAX_FIELD_ORDER}")
+    m = q**d - 1
+    exponents = array("l")
+    negation = array("l")
+    groups = []
+    for t in divisors(m):
+        if n_order(q, t) != d:
+            continue
+        step = m // t
+        coset = [q**j % t for j in range(d)]
+        self_paired = t - 1 in coset
+        seen = bytearray(t)  # nonzero: not a unit, or in a coset already taken
+        for r in factorint(t):
+            seen[::r] = b"\1" * len(range(0, t, r))
+        lo = len(exponents)
+        u = seen.find(0)
+        while u >= 0:
+            for c in coset:
+                seen[u * c % t] = 1
+            i = len(exponents)
+            exponents.append(step * u)
+            if self_paired:
+                negation.append(i)
+            else:
+                minus = [t - u * c % t for c in coset]
+                for v in minus:
+                    seen[v] = 1
+                exponents.append(step * min(minus))
+                negation.append(i + 1)
+                negation.append(i)
+            u = seen.find(0, u + 1)
+        groups.append((t, lo, len(exponents)))
+    return OrbitLabels(exponents, negation, tuple(groups))
+
+
+def _labels(n: int, q: int) -> list:
+    """The labels of every degree 1..n (index d; index 0 holds None), once
+    GL_n(q) passes the limits of a class walk."""
+    check_class_walk(n, q)
+    return [None] + [orbit_labels(q, d) for d in range(1, n + 1)]
+
+
 @lru_cache(maxsize=None)
 def _order_histogram(n: int, q: int) -> MappingProxyType:
     """Element order -> number of elements of GL_n(q) of that order, in
-    one pass over the classes."""
+    one walk over the classes.
+
+    A class's entries are (label, partition) pairs, walked in descending
+    degree and then ascending label.  Its elements have order
+    lcm(root orders) times the least power of p covering the largest
+    part, and there are |GL_n(q)| / prod of the entries' block
+    centralizer orders of them.  The labels of a group share every fact
+    but their index, so the last entry of a class is counted once per
+    group, and a level whose weight left is below its degree walks the
+    rest once for all the labels of a group.  The counts must sum to
+    |GL_n(q)|.
+    """
+    labels = _labels(n, q)
+    p = min(factorint(q))
+    ppow = [1] * (n + 1)  # least power of p >= k
+    for k in range(2, n + 1):
+        ppow[k] = ppow[k - 1] * p if ppow[k - 1] < k else ppow[k - 1]
+    # plan[d]: the groups (t, lo, hi) and, by weight w, the (centralizer
+    # factor, largest part) of each partition of w
+    plan = [None] + [
+        (
+            labels[d].groups,
+            [()] + [
+                tuple(
+                    (block_centralizer_order(q**d, lam), lam.max_part())
+                    for lam in partitions_of(w)
+                )
+                for w in range(1, n // d + 1)
+            ],
+        )
+        for d in range(1, n + 1)
+    ]
     hist: dict[int, int] = {}
-    for data in enumerate_classes(n, q):
-        order = element_order_of_class(data)
-        hist[order] = hist.get(order, 0) + class_size(data, centralizer_order(data))
+
+    def walk(rest, top, start, size, semisimple, largest, mult):
+        for d in range(min(top, rest), 0, -1):
+            groups, by_weight = plan[d]
+            begin = start if d == top else 0
+            for t, lo, hi in groups:
+                if hi <= begin:
+                    continue
+                first = lo if lo > begin else begin
+                order = lcm(semisimple, t)
+                if rest % d == 0:
+                    count = mult * (hi - first)
+                    for z, big in by_weight[rest // d]:
+                        key = order * ppow[big if big > largest else largest]
+                        hist[key] = hist.get(key, 0) + count * (size // z)
+                for w in range(1, (rest - 1) // d + 1):
+                    left = rest - d * w
+                    for z, big in by_weight[w]:
+                        part = size // z
+                        big = big if big > largest else largest
+                        if left < d:  # no more labels of degree d: the rest is the same for all
+                            walk(left, left, 0, part, order, big, mult * (hi - first))
+                        else:
+                            for i in range(first, hi):
+                                walk(left, d, i + 1, part, order, big, mult)
+
+    group_order = gl_order(n, q)
+    walk(n, n, 0, group_order, 1, 0, 1)
+    if sum(hist.values()) != group_order:
+        raise RuntimeError("the order histogram does not count every element once")
     return MappingProxyType(hist)
 
 
@@ -102,8 +246,49 @@ def unity_root_counts(n: int, q: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def real_class_count_direct(n: int, q: int) -> int:
-    """Number of classes equal to their inverse class."""
-    return sum(1 for data in enumerate_classes(n, q) if inverse_class(data) == data)
+    """Number of classes equal to their inverse class, checked against
+    :func:`real_class_product`.
+
+    Inversion negates every label and keeps its partition, so a class is
+    real when negation maps its entries onto themselves: each entry's
+    label is its own negation, or the label's partner carries the same
+    partition.  The walk builds exactly those classes from units, one
+    self-paired label or one adjacent pair of labels with one partition,
+    in descending degree and then ascending label.  The classes a unit of
+    weight w completes number p(w), one per partition, and a level whose
+    weight left is below its degree walks the rest once for a group.
+    """
+    labels = _labels(n, q)
+    pcount = [partition_count(w) for w in range(n + 1)]
+
+    def walk(rest, top, start):
+        count = 0
+        for d in range(min(top, rest), 0, -1):
+            negation = labels[d].negation
+            begin = start if d == top else 0
+            for _, lo, hi in labels[d].groups:
+                if hi <= begin:
+                    continue
+                first = lo if lo > begin else begin
+                span = 1 if negation[first] == first else 2  # labels per unit
+                unit = span * d
+                units = (hi - first) // span
+                if rest % unit == 0:
+                    count += units * pcount[rest // unit]
+                for w in range(1, (rest - 1) // unit + 1):
+                    left = rest - unit * w
+                    if left < d:
+                        count += units * pcount[w] * walk(left, left, 0)
+                    else:
+                        for i in range(first, hi, span):
+                            count += pcount[w] * walk(left, d, negation[i] + 1)
+        return count
+
+    count = walk(n, n, 0)
+    product = real_class_product(n, q)
+    if count != product:
+        raise RuntimeError(f"{count} classes are real, the product formula gives {product}")
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -112,17 +297,70 @@ def s2_cardinality(n: int, q: int) -> int:
 
     Summing fiber(beta) * fiber(beta^(-1)) over beta and using that
     inverse classes have equal fibers gives sum over classes of
-    |C| * R(C)^2, in one pass over the classes.  The mass identity
-    sum |C| R(C) = |G|, a prerequisite, is checked in the same pass.
+    |C| * R(C)^2, in one walk over the classes.  The mass identity
+    sum |C| R(C) = |G|, a prerequisite, is checked in the same walk.
+    An entry (label, lam) of degree d has the centralizer factor
+    block_centralizer_order(q^d, lam) and the fiber factor
+    _block_value(q^d, lam, e even), looked up per (d, lam); a class whose
+    fiber factor is 0 is passed by with all the classes that extend it.
+    The walk is ordered and cut short as in :func:`_order_histogram`.
     """
-    mass = 0
-    s2 = 0
-    for data in enumerate_classes(n, q):
-        size = class_size(data, centralizer_order(data))
-        r = count_square_roots(data)
-        mass += size * r
-        s2 += size * r * r
-    if mass != gl_order(n, q):
+    labels = _labels(n, q)
+    order = gl_order(n, q)
+    # plan[d]: the groups (lo, hi, 1 if two-power else 2) and, by weight w,
+    # the (centralizer factor, fiber factor if two-power, if skew) of each
+    # partition of w
+    plan = [None]
+    for d in range(1, n + 1):
+        qd = q**d
+        half = (qd - 1) // 2
+        plan.append((
+            tuple((lo, hi, 1 if half % t == 0 else 2) for t, lo, hi in labels[d].groups),
+            [()] + [
+                tuple(
+                    (block_centralizer_order(qd, lam), _block_value(qd, lam, True),
+                     _block_value(qd, lam, False))
+                    for lam in partitions_of(w)
+                )
+                for w in range(1, n // d + 1)
+            ],
+        ))
+    mass = s2 = 0
+
+    def walk(rest, top, start, size, fiber, mult):
+        nonlocal mass, s2
+        for d in range(min(top, rest), 0, -1):
+            groups, by_weight = plan[d]
+            begin = start if d == top else 0
+            for lo, hi, kind in groups:
+                if hi <= begin:
+                    continue
+                first = lo if lo > begin else begin
+                if rest % d == 0:
+                    count = mult * (hi - first)
+                    for block in by_weight[rest // d]:
+                        value = block[kind]
+                        if value:
+                            r = fiber * value
+                            x = count * (size // block[0]) * r
+                            mass += x
+                            s2 += x * r
+                for w in range(1, (rest - 1) // d + 1):
+                    left = rest - d * w
+                    for block in by_weight[w]:
+                        value = block[kind]
+                        if not value:
+                            continue
+                        part = size // block[0]
+                        r = fiber * value
+                        if left < d:
+                            walk(left, left, 0, part, r, mult * (hi - first))
+                        else:
+                            for i in range(first, hi):
+                                walk(left, d, i + 1, part, r, mult)
+
+    walk(n, n, 0, order, 1, 1)
+    if mass != order:
         raise RuntimeError("square-map mass is not conserved")
     return s2
 

@@ -334,6 +334,40 @@ def test_real_classes_default_full_audit():
     assert env["warnings"]  # the published-statement evaluators miss here
 
 
+_REFUSALS = [
+    (["--n", "2", "--q", "999983"], 3, "refused: GL_2(999983) has more than 1000000 classes"),
+    (["--n", "65", "--q", "3"], 3, "refused: GL_65(3) has more than 1000000 classes"),
+    (["--n", "3", "--q", "125"], 3, "refused: GL_3(125) has more than 1000000 classes"),
+    (["--n", "0", "--q", "3"], 2, "error: dimension must be positive"),
+    (["--n", "2", "--q", "6"], 2, "error: 6 is not a prime power"),
+]
+
+
+@pytest.mark.parametrize("method", [None, "direct", "ms", "theorem", "gf-audit"])
+@pytest.mark.parametrize("args,code,line", _REFUSALS, ids=[" ".join(a) for a, _, _ in _REFUSALS])
+def test_real_classes_refuses_before_any_label(args, code, line, method):
+    # the class-walk limits come before any orbit label is built, with the
+    # messages of the polynomial class walk
+    argv = ["real-classes", *args] + (["--method", method] if method else [])
+    start = time.perf_counter()
+    assert invoke(argv) == (code, "", line + "\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("module,name,value,message", [
+    # every row real: 8 real rows, where GL_2(3) has 6 real classes
+    (cli, "inverse_class", lambda data: data, "8 rows are real, the product formula gives 6"),
+    (gl_classes, "reciprocal", lambda f: f, "8 rows are real, the product formula gives 6"),
+    (cli, "class_size", lambda data, centralizer: 1,
+     "the class sizes sum to 8, not to the group order"),
+], ids=["real-flag-always-true", "reciprocal-identity", "class-size-one"])
+def test_classes_end_checks_catch_a_wrong_row(monkeypatch, module, name, value, message):
+    monkeypatch.setattr(module, name, value)
+    code, out, err = invoke(["classes", "--n", "2", "--q", "3"])
+    assert (code, err) == (4, f"internal error: {message}\n")
+    assert out.count('"class":') == 8  # the rows stay written
+
+
 def test_oracle_reports():
     env = invoke_json(
         ["oracle", "--kind", "gl", "--n", "2", "--q", "3", "--report", "fibers"]

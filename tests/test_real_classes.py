@@ -2,9 +2,8 @@
 audit of the published counting statement."""
 
 import io
-import sys
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from squarefibers.brute_oracle import (
     real_classes_oracle,
 )
 from squarefibers.cli import run
-from squarefibers.gl_classes import class_count, gl_order
+from squarefibers.gl_classes import gl_order
 from squarefibers.limits import InputError
 from squarefibers.real_classes import (
     count_order_dividing,
@@ -28,6 +27,7 @@ from squarefibers.real_classes import (
     real_class_count_direct,
     real_class_count_ms,
     real_class_count_theorem,
+    real_class_product,
     s2_cardinality,
 )
 
@@ -142,26 +142,43 @@ def test_audit_real_counts_gl1():
 
 
 def test_full_audit_makes_one_class_pass_per_statistic(monkeypatch):
+    # direct, ms and the order histogram each walk the labels once, however
+    # often the audit reads their numbers; every walk starts from _labels
     calls = Counter()
+    labels = real_classes._labels
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(n, q):
+        calls[n, q] += 1
+        return labels(n, q)
 
-        return wrapper
-
-    for name in ("count_square_roots", "element_order_of_class", "enumerate_classes"):
-        orig = getattr(real_classes, name)
-        wrapper = counted(name, orig)
-        # every module that imported the function holds its own binding
-        for modname, module in list(sys.modules.items()):
-            if modname.startswith("squarefibers") and getattr(module, name, None) is orig:
-                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(real_classes, "_labels", counted)
     real_classes._order_histogram.cache_clear()
     real_classes.s2_cardinality.cache_clear()
     with redirect_stdout(io.StringIO()):
         assert run(["real-classes", "--n", "3", "--q", "3"]) == 0
-    assert calls["count_square_roots"] == class_count(3, 3)
-    assert calls["element_order_of_class"] == class_count(3, 3)
-    assert calls["enumerate_classes"] <= 3
+    assert calls == {(3, 3): 3}
+
+
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in (3, 5, 7, 9, 11, 25) for n in range(1, 9) if q**n < 10**5]
+)
+def test_real_class_product_equals_direct(n, q):
+    assert real_class_product(n, q) == real_class_count_direct(n, q) == real_class_count_ms(n, q)
+
+
+def test_real_class_product_values():
+    # the two ceiling cells of the full audit, and the largest weight
+    assert real_class_product(12, 3) == 5468
+    assert real_class_product(4, 25) == 734
+    assert real_class_product(64, 3) > real_class_product(63, 3) > 0
+
+
+@pytest.mark.parametrize("method", ["direct", "theorem", None])
+def test_direct_count_disagreeing_with_the_product_exits_4(monkeypatch, method):
+    monkeypatch.setattr(real_classes, "real_class_product", lambda n, q: 7)
+    argv = ["real-classes", "--n", "2", "--q", "3"] + (["--method", method] if method else [])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(argv) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue() == "internal error: 6 classes are real, the product formula gives 7\n"

@@ -18,9 +18,12 @@ from squarefibers.ffpoly import field_from_order, monic_irreducibles, substitute
 from squarefibers.gl_classes import enumerate_classes
 from squarefibers.power_poly import classify2
 from squarefibers.real_classes import (
+    _order_histogram,
     count_unity_roots_gf,
     real_class_count_direct,
     real_class_count_ms,
+    real_class_product,
+    s2_cardinality,
 )
 from squarefibers.square_fibers import (
     ClosedFormUndefined,
@@ -99,6 +102,29 @@ def test_murray_sambale_count_reaches_no_inverse_class(reached):
     names = reached(lambda: real_class_count_ms(3, 3))
     assert "real_classes.s2_cardinality" in names
     assert "gl_classes.inverse_class" not in names
+
+
+@pytest.mark.parametrize(
+    "route", [real_class_count_direct, s2_cardinality, _order_histogram],
+    ids=["direct", "ms", "histogram"],
+)
+def test_count_routes_walk_orbit_labels_not_polynomials(reached, route):
+    names = reached(lambda: route(4, 9))
+    assert "real_classes.orbit_labels" in names
+    assert not _in_module(names, "ffpoly")
+    assert "gl_classes.enumerate_classes" not in names
+    assert "gl_classes.inverse_class" not in names
+
+
+def test_direct_real_count_reaches_no_block_value(reached):
+    names = reached(lambda: real_class_count_direct(4, 5))
+    assert "square_fibers._block_value" not in names
+
+
+def test_real_class_product_reaches_no_class_walk(reached):
+    names = reached(lambda: real_class_product(12, 3))
+    assert _in_module(names, "gl_classes") == {"gl_classes.real_class_product"}
+    assert not _in_module(names, "real_classes")
 
 
 def test_q_series_count_reaches_no_class_walk(reached):
