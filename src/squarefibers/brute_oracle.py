@@ -27,8 +27,8 @@ from array import array
 from collections import defaultdict
 from functools import lru_cache
 
-from .ffpoly import Field, field_from_order
-from .gl_classes import ClassData, gl_order, make_class_data, representative_matrix
+from .ffpoly import Field, Poly, field_from_order
+from .gl_classes import ClassData, gl_order, make_class_data
 from .limits import (
     MAX_ENUMERATION_SPACE,
     MAX_GROUP_ORDER,
@@ -689,6 +689,56 @@ def class_data_of_element(field: Field, a: Matrix) -> ClassData:
     if data.n != n:
         raise RuntimeError(f"class data of weight {data.n} for a {n} x {n} matrix")
     return data
+
+
+def companion_matrix(f: Poly) -> Matrix:
+    """Companion matrix with ones on the subdiagonal and -coefficients in
+    the last column."""
+    F = f.field
+    d = f.degree
+    rows = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        rows[i][i - 1] = 1
+    for i in range(d):
+        rows[i][d - 1] = F.neg(f.coeffs[i])
+    return tuple(tuple(r) for r in rows)
+
+
+def jordan_block(f: Poly, k: int) -> Matrix:
+    """Generalized Jordan block: k x k array of companion blocks of f with
+    identity links on the superdiagonal."""
+    d = f.degree
+    comp = companion_matrix(f)
+    size = d * k
+    rows = [[0] * size for _ in range(size)]
+    for b in range(k):
+        for i in range(d):
+            for j in range(d):
+                rows[b * d + i][b * d + j] = comp[i][j]
+        if b + 1 < k:
+            for i in range(d):
+                rows[b * d + i][(b + 1) * d + i] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def representative_matrix(data: ClassData) -> Matrix:
+    """Block-diagonal representative of the class; n is capped at 12."""
+    n = data.n
+    if n > 12:
+        raise ScaleLimitError("representatives are built only up to n = 12")
+    blocks = []
+    for f, lam in data.entries:
+        for part, mult in lam.pairs:
+            blocks.extend([jordan_block(f, part)] * mult)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for blk in blocks:
+        m = len(blk)
+        for i in range(m):
+            for j in range(m):
+                rows[offset + i][offset + j] = blk[i][j]
+        offset += m
+    return tuple(tuple(r) for r in rows)
 
 
 def representative_index(table: ElementTable, data: ClassData) -> int:

@@ -2,8 +2,9 @@
 
 A class is a finite assignment of nonempty partitions to monic
 irreducible polynomials other than x, with sum of deg(f)*|lambda_f|
-equal to n.  Centralizer orders, class sizes, representatives, class
-inversion and element orders are all computed from that data alone.
+equal to n.  Centralizer orders, class sizes, class inversion and
+element orders are all computed from that data alone; the representative
+matrices live in ``brute_oracle``, their one user.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, InputError, ScaleLimi
 from .numtheory import divisors, mobius, odd_prime_power
 from .partitions import Partition, gamma_exponent, partition_count, partitions_of
 from .records import Record
-
-Matrix = tuple[tuple[int, ...], ...]
-
 
 class ClassData(Record):
     """Combinatorial data of a GL_n(q) conjugacy class.
@@ -251,56 +249,6 @@ def class_size(data: ClassData, centralizer: int) -> int:
     if rem:
         raise RuntimeError(f"centralizer order does not divide the group order: {data}")
     return size
-
-
-def companion_matrix(f: Poly) -> Matrix:
-    """Companion matrix with ones on the subdiagonal and -coefficients in
-    the last column."""
-    F = f.field
-    d = f.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = F.neg(f.coeffs[i])
-    return tuple(tuple(r) for r in rows)
-
-
-def jordan_block(f: Poly, k: int) -> Matrix:
-    """Generalized Jordan block: k x k array of companion blocks of f with
-    identity links on the superdiagonal."""
-    d = f.degree
-    comp = companion_matrix(f)
-    size = d * k
-    rows = [[0] * size for _ in range(size)]
-    for b in range(k):
-        for i in range(d):
-            for j in range(d):
-                rows[b * d + i][b * d + j] = comp[i][j]
-        if b + 1 < k:
-            for i in range(d):
-                rows[b * d + i][(b + 1) * d + i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-def representative_matrix(data: ClassData) -> Matrix:
-    """Block-diagonal representative of the class; n is capped at 12."""
-    n = data.n
-    if n > 12:
-        raise ScaleLimitError("representatives are built only up to n = 12")
-    blocks = []
-    for f, lam in data.entries:
-        for part, mult in lam.pairs:
-            blocks.extend([jordan_block(f, part)] * mult)
-    rows = [[0] * n for _ in range(n)]
-    offset = 0
-    for blk in blocks:
-        m = len(blk)
-        for i in range(m):
-            for j in range(m):
-                rows[offset + i][offset + j] = blk[i][j]
-        offset += m
-    return tuple(tuple(r) for r in rows)
 
 
 def inverse_class(data: ClassData) -> ClassData:

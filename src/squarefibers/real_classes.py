@@ -16,15 +16,16 @@ against a generator of F_{q^d}^*, and every fact the walks read is
 integer arithmetic on that orbit: the root order is
 (q^d - 1)/gcd(e, q^d - 1), the reciprocal is the orbit of -e, and the
 roots are squares (f two-power) exactly when e is even (Green, 1955;
-Macdonald, Symmetric Functions and Hall Polynomials, ch. IV).  A class
-is a set of (label, partition) entries, so no walk lists a polynomial
-or builds an extension-field table.  ``tests/test_orbit_labels.py`` ties
-the labels to the polynomials they stand for.
+Macdonald, Symmetric Functions and Hall Polynomials, ch. IV).  These
+facts depend on the root order alone, so the labels of a degree are
+held as a count per root order, and a label is an index.  A class is a
+set of (label, partition) entries, so no walk lists a polynomial or
+builds an extension-field table.  ``tests/test_orbit_labels.py`` ties
+the counts to the polynomials they stand for.
 """
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -34,6 +35,7 @@ from .gl_classes import (
     block_centralizer_order,
     check_class_walk,
     gl_order,
+    irreducible_count,
     real_class_product,
     series_mul,
     series_pow,
@@ -41,7 +43,6 @@ from .gl_classes import (
 from .limits import MAX_FIELD_ORDER, InputError, ScaleLimitError, exceeds
 from .numtheory import divisors, factorint, n_order, totient
 from .partitions import partition_count, partitions_of
-from .records import Record
 from .square_fibers import _block_value
 
 THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
@@ -50,69 +51,34 @@ THEOREM_CONVENTIONS = ("exact-order", "order-dividing")
 UNITY_ROOT_ORDERS = (2, 4)
 
 
-class OrbitLabels(Record):
-    """The Frobenius orbits of size d in Z/(q^d - 1), one label each.
-
-    ``exponents[i]`` is the least element e of label i, and
-    ``negation[i]`` the index of the label of -e.  ``groups`` holds
-    (t, lo, hi), t ascending: labels lo to hi - 1 are those of root order
-    t, and that order fixes their parity, for e is even exactly when t
-    divides (q^d - 1)/2.  Negation keeps t, and within a group either
-    every label is its own negation (when -1 is a power of q mod t) or
-    the labels come in adjacent pairs, i and i + 1, that negate to each
-    other.
-    """
-
-    __slots__ = ("exponents", "negation", "groups")
-
-    def __init__(self, exponents: array, negation: array, groups: tuple):
-        self._set(exponents, negation, groups)
-
-
 @lru_cache(maxsize=None)
-def orbit_labels(q: int, d: int) -> OrbitLabels:
-    """The labels of degree d over F_q, by root order.
+def orbit_labels(q: int, d: int) -> tuple[tuple[int, int, int, bool], ...]:
+    """The labels of degree d over F_q, as root-order groups (t, lo, hi,
+    paired), t ascending: labels lo to hi - 1 are those of root order t.
 
     The exponents of root order t are (q^d - 1)/t times the units u mod t,
-    and the orbits among them are the cosets u<q> of the units, of size d
-    exactly when q has order d mod t.  The least u of each coset is met
-    first in a scan of the units, and its negation coset, -u<q>, is taken
-    at once.  Needs q^d <= MAX_FIELD_ORDER, as the polynomial lists do.
+    and their orbits are the cosets u<q>, of size d exactly when q has
+    order d mod t: totient(t) // d labels.  Their roots are squares (e
+    even) exactly when t divides (q^d - 1)/2.
+    Negation keeps t and maps u<q> to -u<q>, the same coset for every u
+    when -1 is a power of q mod t and a different one for every u when it
+    is not (``paired``); paired labels are numbered so that lo + 2k and
+    lo + 2k + 1 negate to each other.  The labels must total the necklace
+    count.  Needs q^d <= MAX_FIELD_ORDER, as the polynomial lists do.
     """
     if exceeds(q, d, MAX_FIELD_ORDER):
         raise ScaleLimitError(f"field order {q}^{d} exceeds {MAX_FIELD_ORDER}")
-    m = q**d - 1
-    exponents = array("l")
-    negation = array("l")
     groups = []
-    for t in divisors(m):
-        if n_order(q, t) != d:
-            continue
-        step = m // t
-        coset = [q**j % t for j in range(d)]
-        self_paired = t - 1 in coset
-        seen = bytearray(t)  # nonzero: not a unit, or in a coset already taken
-        for r in factorint(t):
-            seen[::r] = b"\1" * len(range(0, t, r))
-        lo = len(exponents)
-        u = seen.find(0)
-        while u >= 0:
-            for c in coset:
-                seen[u * c % t] = 1
-            i = len(exponents)
-            exponents.append(step * u)
-            if self_paired:
-                negation.append(i)
-            else:
-                minus = [t - u * c % t for c in coset]
-                for v in minus:
-                    seen[v] = 1
-                exponents.append(step * min(minus))
-                negation.append(i + 1)
-                negation.append(i)
-            u = seen.find(0, u + 1)
-        groups.append((t, lo, len(exponents)))
-    return OrbitLabels(exponents, negation, tuple(groups))
+    lo = 0
+    for t in divisors(q**d - 1):
+        if n_order(q, t) == d:
+            hi = lo + totient(t) // d
+            groups.append((t, lo, hi, t - 1 not in {pow(q, j, t) for j in range(d)}))
+            lo = hi
+    expected = irreducible_count(q, d) - (d == 1)
+    if lo != expected:
+        raise RuntimeError(f"{lo} labels of degree {d} over F_{q}, the necklace count gives {expected}")
+    return tuple(groups)
 
 
 def _labels(n: int, q: int) -> list:
@@ -142,11 +108,11 @@ def _order_histogram(n: int, q: int) -> MappingProxyType:
     ppow = [1] * (n + 1)  # least power of p >= k
     for k in range(2, n + 1):
         ppow[k] = ppow[k - 1] * p if ppow[k - 1] < k else ppow[k - 1]
-    # plan[d]: the groups (t, lo, hi) and, by weight w, the (centralizer
+    # plan[d]: the groups (t, lo, hi, paired) and, by weight w, the (centralizer
     # factor, largest part) of each partition of w
     plan = [None] + [
         (
-            labels[d].groups,
+            labels[d],
             [()] + [
                 tuple(
                     (block_centralizer_order(q**d, lam), lam.max_part())
@@ -163,7 +129,7 @@ def _order_histogram(n: int, q: int) -> MappingProxyType:
         for d in range(min(top, rest), 0, -1):
             groups, by_weight = plan[d]
             begin = start if d == top else 0
-            for t, lo, hi in groups:
+            for t, lo, hi, _ in groups:
                 if hi <= begin:
                     continue
                 first = lo if lo > begin else begin
@@ -264,13 +230,12 @@ def real_class_count_direct(n: int, q: int) -> int:
     def walk(rest, top, start):
         count = 0
         for d in range(min(top, rest), 0, -1):
-            negation = labels[d].negation
             begin = start if d == top else 0
-            for _, lo, hi in labels[d].groups:
+            for _, lo, hi, paired in labels[d]:
                 if hi <= begin:
                     continue
                 first = lo if lo > begin else begin
-                span = 1 if negation[first] == first else 2  # labels per unit
+                span = 2 if paired else 1  # labels per unit
                 unit = span * d
                 units = (hi - first) // span
                 if rest % unit == 0:
@@ -281,7 +246,7 @@ def real_class_count_direct(n: int, q: int) -> int:
                         count += units * pcount[w] * walk(left, left, 0)
                     else:
                         for i in range(first, hi, span):
-                            count += pcount[w] * walk(left, d, negation[i] + 1)
+                            count += pcount[w] * walk(left, d, i + span)
         return count
 
     count = walk(n, n, 0)
@@ -315,7 +280,7 @@ def s2_cardinality(n: int, q: int) -> int:
         qd = q**d
         half = (qd - 1) // 2
         plan.append((
-            tuple((lo, hi, 1 if half % t == 0 else 2) for t, lo, hi in labels[d].groups),
+            tuple((lo, hi, 1 if half % t == 0 else 2) for t, lo, hi, _ in labels[d]),
             [()] + [
                 tuple(
                     (block_centralizer_order(qd, lam), _block_value(qd, lam, True),

@@ -24,15 +24,13 @@ from squarefibers.brute_oracle import (
     load_table,
     orthogonal_witt_type,
     real_classes_oracle,
+    representative_matrix,
     s2_oracle,
     save_table,
     square_fiber_counts,
 )
 from squarefibers.ffpoly import Poly, field_make
-from squarefibers.gl_classes import (
-    enumerate_classes,
-    representative_matrix,
-)
+from squarefibers.gl_classes import enumerate_classes
 from squarefibers.limits import InputError, ScaleLimitError
 from squarefibers.matrices import (
     char_poly,

@@ -670,6 +670,30 @@ def test_oracle_on_a_large_cyclic_group_runs_in_linear_time(argv, expected, dige
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Full real-class audits at the edge of the limits: a field of order
+# near MAX_FIELD_ORDER, and class counts near MAX_CLASS_COUNT.
+CEILING_REAL_CLASS_AUDITS = [
+    (["--n", "1", "--q", "999983"],
+     "2a85be9d5e4b844d34b68c76f85a7fa11d98a76cf100538c2255c5b654eb736e"),
+    (["--n", "2", "--q", "997"],
+     "7297cc837e50f333f7bee36869eb957d4e1a8f2b503d8ba1b97e2dae9feb2858"),
+    (["--n", "12", "--q", "3"],
+     "fcb84fbd3d7dc85bd984b2fbd242fe2e4fa0f78bb795af219f40a06fda937432"),
+    (["--n", "4", "--q", "25"],
+     "a177415d17c4124f5d60e4132c5682030d2af0eaaf65c0b27f6f2b0a21d3fba2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CEILING_REAL_CLASS_AUDITS,
+                         ids=["gl1_999983", "gl2_997", "gl12_3", "gl4_25"])
+def test_real_class_audit_at_the_ceiling(argv, digest):
+    start = time.perf_counter()
+    code, out, err = invoke(["real-classes", *argv])
+    assert time.perf_counter() - start < 10.0
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["gl", "o0"])
 def test_oracle_cache_for_codes_past_64_bits_exits_3(tmp_path, kind):
     # 149^9 > 2^64: nine-byte codes; GL_3(149) and O_3(149) (6.6 million

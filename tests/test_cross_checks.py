@@ -125,6 +125,17 @@ def test_failed_cross_check_before_output_exits_4_with_one_line():
     assert out.stderr == "internal error: square-map mass is not conserved\n"
 
 
+def test_orbit_labels_off_the_necklace_count_exit_4_with_one_line():
+    # t in place of phi(t): the root orders 1 and 2 of degree 1 over F_3
+    # would hold 1 + 2 labels, where F_3 has 2 nonzero elements
+    out = _run_cli_optimized(
+        "real_classes.totient = lambda t: t",
+        ["real-classes", "--n", "2", "--q", "3", "--method", "direct"],
+    )
+    assert (out.returncode, out.stdout) == (4, "")
+    assert out.stderr == "internal error: 3 labels of degree 1 over F_3, the necklace count gives 2\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failed_cross_check_while_rows_stream_exits_4_with_one_line(fmt):
     # the first three classes of GL_2(3) have centralizers of order 8 and

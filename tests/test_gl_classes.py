@@ -11,6 +11,7 @@ from squarefibers.brute_oracle import (
     class_data_of_element,
     conjugacy_classes,
     representative_index,
+    representative_matrix,
 )
 from squarefibers.cli import run
 from squarefibers.ffpoly import Field, Poly, field_from_order, field_make, monic_irreducibles
@@ -25,7 +26,6 @@ from squarefibers.gl_classes import (
     gl_order,
     inverse_class,
     make_class_data,
-    representative_matrix,
 )
 from squarefibers.limits import MAX_CLASS_COUNT, MAX_PARTITION_WEIGHT, ScaleLimitError
 from squarefibers.matrices import identity_matrix, mat_mul

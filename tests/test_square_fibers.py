@@ -151,8 +151,7 @@ def test_inversion_equivariance():
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (2, 5)])
 def test_square_class_matches_matrix_squaring(n, q):
-    from squarefibers.brute_oracle import class_data_of_element
-    from squarefibers.gl_classes import representative_matrix
+    from squarefibers.brute_oracle import class_data_of_element, representative_matrix
     from squarefibers.matrices import mat_mul
 
     field = field_from_order(q)
